@@ -12,6 +12,10 @@
 #   scripts/check.sh --asan              # additionally build the whole tier-1 suite under
 #                                        # AddressSanitizer+UBSan and run it (alongside the
 #                                        # existing TSan set, which stays thread-focused)
+#   scripts/check.sh --repeat 50         # additionally rerun the `concurrency` label with
+#                                        # ctest --repeat until-fail:50 after tier-1 (and, with
+#                                        # --asan, again under ASan), so an intermittent fault
+#                                        # fails the run instead of passing by luck
 #   SKIP_TSAN=1 scripts/check.sh         # tier-1 only
 #
 # Also fails fast if any tests/*_test.cc is missing from the registered ctest targets, so a
@@ -22,6 +26,7 @@ cd "$(dirname "$0")/.."
 LABELS=""
 BENCH_SMOKE=0
 ASAN=0
+REPEAT=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --labels)
@@ -40,6 +45,12 @@ while [[ $# -gt 0 ]]; do
     --asan)
       ASAN=1
       shift
+      ;;
+    --repeat)
+      [[ $# -ge 2 && "$2" =~ ^[1-9][0-9]*$ ]] ||
+        { echo "check.sh: --repeat needs a positive count" >&2; exit 2; }
+      REPEAT="$2"
+      shift 2
       ;;
     *)
       echo "check.sh: unknown argument: $1" >&2
@@ -77,6 +88,13 @@ cmake --build build -j "$JOBS"
 # dedicated pass so a label rename or a GLOB miss can never leave serializability untested.
 if [[ -z "$LABELS" ]]; then
   (cd build && ctest --output-on-failure -L txn)
+fi
+
+# --- repeated concurrency pass (opt-in) ---
+# The concurrency suites race real threads, so a fault that strikes one run in ten passes a
+# single run most of the time. Rerunning each until it fails (at most N times) makes it show.
+if [[ "$REPEAT" != "0" ]]; then
+  (cd build && ctest --output-on-failure -j "$JOBS" -L concurrency --repeat "until-fail:$REPEAT")
 fi
 
 # --- socket-transport parity pass ---
@@ -132,6 +150,10 @@ if [[ "$ASAN" == "1" ]]; then
   cmake --build build-asan -j "$JOBS"
   (cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
       ctest --output-on-failure -j "$JOBS" ${LABELS:+-L "$LABELS"})
+  if [[ "$REPEAT" != "0" ]]; then
+    (cd build-asan && UBSAN_OPTIONS=halt_on_error=1 \
+        ctest --output-on-failure -j "$JOBS" -L concurrency --repeat "until-fail:$REPEAT")
+  fi
 fi
 
 # --- benchmark smoke (opt-in) -------------------------------------------------

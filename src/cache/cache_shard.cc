@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <iterator>
 #include <thread>
 
@@ -175,7 +176,7 @@ void CacheShard::DrainTouchesLocked() {
       // an earlier round (Reset raced a straggler). The live-set check makes all of those
       // inert; a stale-but-live pointer just re-touches at the version's own current tick.
       if (v != nullptr && live_.count(v) != 0) {
-        drain_scratch_.push_back(v);
+        drain_scratch_.emplace_back(0, v);
       }
     }
   }
@@ -183,16 +184,26 @@ void CacheShard::DrainTouchesLocked() {
   if (drain_scratch_.empty() && !overflowed) {
     return;
   }
-  // Unique versions, oldest current tick first: splicing to the front in ascending-tick order
-  // leaves lru_ fully sorted by last touch among the drained set.
-  std::sort(drain_scratch_.begin(), drain_scratch_.end());
-  drain_scratch_.erase(std::unique(drain_scratch_.begin(), drain_scratch_.end()),
+  // Unique versions, oldest tick first: splicing to the front in ascending-tick order leaves
+  // lru_ fully sorted by last touch among the drained set. Lock-free hitters keep storing
+  // ticks while we sort, so each version's tick is snapshotted once and the sort compares the
+  // snapshots: a comparator re-reading the live atomics can see an inconsistent order, which
+  // std::sort's unguarded insertion pass turns into reads outside the buffer.
+  auto by_version = [](const TickedVersion& a, const TickedVersion& b) {
+    return a.second < b.second;
+  };
+  auto same_version = [](const TickedVersion& a, const TickedVersion& b) {
+    return a.second == b.second;
+  };
+  std::sort(drain_scratch_.begin(), drain_scratch_.end(), by_version);
+  drain_scratch_.erase(std::unique(drain_scratch_.begin(), drain_scratch_.end(), same_version),
                        drain_scratch_.end());
-  std::sort(drain_scratch_.begin(), drain_scratch_.end(), [](Version* a, Version* b) {
-    return a->touch_tick.load(std::memory_order_relaxed) <
-           b->touch_tick.load(std::memory_order_relaxed);
-  });
-  for (Version* v : drain_scratch_) {
+  for (TickedVersion& tv : drain_scratch_) {
+    tv.first = tv.second->touch_tick.load(std::memory_order_relaxed);
+  }
+  std::sort(drain_scratch_.begin(), drain_scratch_.end());
+  for (const TickedVersion& tv : drain_scratch_) {
+    Version* v = tv.second;
     lru_.erase(v->lru_it);
     lru_.push_front(v);
     v->lru_it = lru_.begin();
@@ -206,13 +217,18 @@ void CacheShard::DrainTouchesLocked() {
   }
   if (overflowed) {
     // Some touches never made it into the buffers; their recency lives only in the
-    // per-version ticks. Re-sort the whole list so LRU monotonicity (never evict a more
-    // recently touched version while a less recently touched one stays resident) survives
-    // the overflow. std::list::sort relinks nodes, so every Version::lru_it stays valid.
-    lru_.sort([](const Version* a, const Version* b) {
-      return a->touch_tick.load(std::memory_order_relaxed) >
-             b->touch_tick.load(std::memory_order_relaxed);
-    });
+    // per-version ticks. Re-sort the whole list, newest first, so LRU monotonicity (never
+    // evict a more recently touched version while a less recently touched one stays
+    // resident) survives the overflow. The ticks are snapshotted for the same reason as
+    // above; splicing each node to the back relinks it, so every Version::lru_it stays valid.
+    drain_scratch_.clear();
+    for (Version* v : lru_) {
+      drain_scratch_.emplace_back(v->touch_tick.load(std::memory_order_relaxed), v);
+    }
+    std::sort(drain_scratch_.begin(), drain_scratch_.end(), std::greater<>());
+    for (const TickedVersion& tv : drain_scratch_) {
+      lru_.splice(lru_.end(), lru_, tv.second->lru_it);
+    }
     if (cost_aware()) {
       // Dropped records also skipped their per-function attribution; the hit_count deltas
       // still know about those hits, so a full fold keeps the profiles lossless.
@@ -621,6 +637,7 @@ Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, std::stri
   version->fn_id = interner_->Intern(function);
   version->inserted_wallclock = clock_->Now();
   version->owner = slot;
+  version->insert_seq = ++insert_seq_;
   // A fresh version for a key whose write intent is held inherits the ownership bit, so
   // lock-free readers keep seeing the intent across the fill.
   if (!intents_.empty()) {
@@ -690,7 +707,11 @@ void CacheShard::ApplyInvalidation(const InvalidationMessage& msg, bool* sweep_d
       }
     }
   }
-  std::sort(affected.begin(), affected.end());
+  // Truncation order decides stale-list order, hence which stale version is evicted first, so
+  // it follows insertion order rather than heap addresses (sequences are unique per shard, so
+  // duplicates sort adjacent).
+  std::sort(affected.begin(), affected.end(),
+            [](const Version* a, const Version* b) { return a->insert_seq < b->insert_seq; });
   affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
   for (Version* v : affected) {
     TruncateLocked(v, msg.ts, now);

@@ -262,6 +262,7 @@ class CacheShard {
     uint64_t fill_cost_us = 0;
     uint32_t fn_id = 0;       // interned CacheKeyFunction; 0 = none
     KeySlot* owner = nullptr; // the slot whose array publishes this version
+    uint64_t insert_seq = 0;  // this shard's insertion ordinal: orders a message's truncations
     WallClock inserted_wallclock = 0;  // TTL learning: residency start
 
     // Reader-visible mutable state. Truncation stores `upper` (relaxed) and THEN
@@ -474,7 +475,9 @@ class CacheShard {
   const size_t stripe_count_;
   StripedTouchBuffer touch_buffer_;
   std::atomic<bool> touch_overflow_{false};
-  std::vector<Version*> drain_scratch_;  // reused across drains; exclusive-lock-only
+  // (touch tick snapshot, version) pairs, reused across drains; exclusive-lock-only.
+  using TickedVersion = std::pair<uint64_t, Version*>;
+  std::vector<TickedVersion> drain_scratch_;
   std::unique_ptr<LookupStatsStripe[]> lookup_stats_;
 
   // Still-valid version registry: concrete tag -> versions carrying it; table -> versions
@@ -505,6 +508,7 @@ class CacheShard {
   std::unordered_map<std::string, uint64_t> intents_;
 
   uint64_t ops_since_sweep_ = 0;
+  uint64_t insert_seq_ = 0;  // last Version::insert_seq handed out
   CacheStats stats_;
 };
 

@@ -1,5 +1,7 @@
 #include "src/pincushion/pincushion.h"
 
+#include <algorithm>
+
 namespace txcache {
 
 std::vector<PinInfo> Pincushion::AcquireFreshPins(WallClock staleness) {
@@ -20,9 +22,9 @@ std::vector<PinInfo> Pincushion::AcquireFreshPins(WallClock staleness) {
 void Pincushion::Register(const PinInfo& pin) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = pins_[pin.ts];
-  if (entry.db_pin_count == 0) {
-    entry.pinned_at = pin.pinned_at;
-  }
+  // A re-pin of a known timestamp is as fresh as its latest PIN: keeping the first pinned_at
+  // would leave it stale, and every later transaction would pin the same snapshot again.
+  entry.pinned_at = std::max(entry.pinned_at, pin.pinned_at);
   ++entry.db_pin_count;
   ++entry.in_use;
   ++stats_.registrations;

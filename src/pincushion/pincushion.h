@@ -49,6 +49,7 @@ class Pincushion {
 
   // Records a snapshot the library just pinned on the database, already marked in use once.
   // (Two libraries may race to pin the same timestamp; the database refcounts, and so do we.)
+  // Re-pinning a known timestamp refreshes its pinned_at to the later of the two.
   void Register(const PinInfo& pin);
 
   // Drops one use of each listed pin.

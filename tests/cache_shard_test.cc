@@ -235,6 +235,51 @@ TEST(CacheShard, SkewedTrafficStillSweepsColdShards) {
   EXPECT_FALSE(server.Lookup(probe).hit) << "cold-shard garbage survived the sweep";
 }
 
+// --- truncation order ---------------------------------------------------------
+
+TEST(CacheShard, OneMessageTruncatesInInsertionOrder) {
+  // Versions closed by one invalidation message join the stale list in insertion order, so
+  // capacity pressure evicts them oldest-insert first, whatever their heap addresses.
+  ManualClock clock;
+  clock.Set(Seconds(100));
+  auto entry = [](const std::string& key, std::vector<InvalidationTag> tags) {
+    InsertRequest req;
+    req.key = key;
+    req.value = std::string(400, 'v');
+    req.interval = {1, kTimestampInfinity};
+    req.computed_at = 1;
+    req.tags = std::move(tags);
+    req.fill_cost_us = 1000;
+    return req;
+  };
+  const std::vector<int> insert_order = {3, 0, 5, 1, 4, 2};
+  CacheOptions options;
+  options.num_shards = 1;
+  options.policy = EvictionPolicy::kCostAware;
+  options.capacity_bytes =
+      insert_order.size() * CacheShard::EstimateBytes(entry("k0", {GroupTag(0)}));
+  CacheServer server("order", &clock, options);
+  for (int k : insert_order) {
+    ASSERT_TRUE(server.Insert(entry("k" + std::to_string(k), {GroupTag(0)})).ok());
+  }
+  server.Deliver(MakeMsg(1, 50, {GroupTag(0)}));
+  ASSERT_EQ(server.stats().invalidation_truncations, insert_order.size());
+
+  for (size_t evicted = 1; evicted <= insert_order.size(); ++evicted) {
+    ASSERT_TRUE(server.Insert(entry("filler" + std::to_string(evicted), {})).ok());
+    ASSERT_EQ(server.stats().evictions_capacity_stale, evicted);
+    for (size_t i = 0; i < insert_order.size(); ++i) {
+      LookupRequest probe;
+      probe.key = "k" + std::to_string(insert_order[i]);
+      probe.bounds_lo = 1;
+      probe.bounds_hi = 49;
+      EXPECT_EQ(server.Lookup(probe).hit, i >= evicted)
+          << "after " << evicted << " evictions, insert #" << i << " (k" << insert_order[i]
+          << ")";
+    }
+  }
+}
+
 // --- cluster routing ----------------------------------------------------------
 
 TEST(CacheCluster, MultiLookupRoutesAndReassembles) {

@@ -6,6 +6,7 @@
 #include "src/bus/bus.h"
 #include "src/cache/cache_cluster.h"
 #include "src/cluster/consistent_hash.h"
+#include "src/core/txcache_client.h"
 #include "src/pincushion/pincushion.h"
 #include "src/util/clock.h"
 #include "tests/test_support.h"
@@ -249,6 +250,37 @@ TEST_F(PincushionTest, MultipleSnapshotsSortedOldestFirst) {
   auto pins = pincushion_.AcquireFreshPins(Seconds(30));
   ASSERT_EQ(pins.size(), 2u);
   EXPECT_LT(pins[0].ts, pins[1].ts);
+}
+
+TEST(PincushionRepin, RepinOfAnUnchangedSnapshotIsFresh) {
+  // Past the new-pin threshold with no commits in between, the next transaction that reaches
+  // the database pins the same latest snapshot again. That re-pin must count as fresh: were
+  // the timestamp's first pinned_at kept, every later transaction would re-pin it too.
+  ManualClock clock;
+  Database db(&clock);
+  CreateAccountsTable(&db);
+  InsertAccount(&db, 1, "a", 1);
+  Pincushion pincushion(&db, &clock);
+  CacheServer cache("node", &clock);
+  CacheCluster cluster;
+  cluster.AddNode(&cache);
+  TxCacheClient::Options options;
+  TxCacheClient client(&db, &pincushion, &cluster, &clock, options);
+  auto miss = [&client] {
+    ASSERT_TRUE(client.BeginRO().ok());
+    ASSERT_TRUE(client.ExecuteQuery(AccountById(1)).ok());
+    ASSERT_TRUE(client.Commit().ok());
+  };
+
+  miss();
+  ASSERT_EQ(client.stats().pins_created, 1u);
+  ASSERT_LT(options.new_pin_threshold + Seconds(1), options.default_staleness)
+      << "the old pin must stay within staleness, so only the threshold forces the re-pin";
+  clock.Advance(options.new_pin_threshold + Seconds(1));
+  miss();  // the newest pin is past the threshold: re-pins the unchanged snapshot
+  miss();  // finds the re-pin fresh
+  EXPECT_EQ(client.stats().pins_created, 2u) << "one re-pin, not one per transaction";
+  EXPECT_EQ(pincushion.pinned_count(), 1u) << "both pins name the same timestamp";
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/core/cacheable_function.h"
@@ -832,7 +833,7 @@ TEST(ConcurrencyStress, EightHittersRaceEvictionInvalidationTtlDemotionAndDrains
       }
     });
   }
-  std::thread writer([&server, &key_for, &value_for] {
+  std::thread writer([&server, &seqno, &key_for, &value_for] {
     Rng rng(77);
     for (int i = 0; i < 5000; ++i) {
       const int key = static_cast<int>(rng.Uniform(0, kKeys - 1));
@@ -841,7 +842,9 @@ TEST(ConcurrencyStress, EightHittersRaceEvictionInvalidationTtlDemotionAndDrains
       req.key_hash = Fnv1a(req.key);
       req.value = value_for(key);
       req.interval = {1, kTimestampInfinity};
-      req.computed_at = 1;
+      // Computed at the stream's current position, as a real fill would be: the insert-time
+      // replay does not close it, so later messages on its tag truncate a resident version.
+      req.computed_at = 100 + seqno.load();
       req.tags = {InvalidationTag::Concrete("t", "i", std::to_string(key % 8))};
       req.fill_cost_us = static_cast<uint64_t>(rng.Uniform(100, 3000));
       Status st = server.Insert(req);
@@ -850,7 +853,15 @@ TEST(ConcurrencyStress, EightHittersRaceEvictionInvalidationTtlDemotionAndDrains
   });
   std::thread invalidator([&server, &seqno, &stop] {
     Rng rng(31);
-    while (!stop.load()) {
+    // Runs until stopped AND until it has truncated at least one resident version, so the
+    // non-vacuity check below cannot lose a scheduling race; the deadline fails the test
+    // instead of hanging it.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!stop.load() || server.stats().invalidation_truncations == 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ADD_FAILURE() << "invalidator truncated nothing before the deadline";
+        break;
+      }
       InvalidationMessage msg;
       msg.seqno = seqno.fetch_add(1);
       // Timestamps ABOVE every insert's computed_at: versions genuinely truncate, the
