@@ -64,7 +64,7 @@ CacheServer::CacheServer(std::string name, const Clock* clock, Options options)
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<CacheShard>(clock_, options_, &bytes_used_,
                                                    &touch_ticker_, &aging_floor_, &advisor_,
-                                                   &interner_, &tag_interner_));
+                                                   &interner_));
   }
 }
 

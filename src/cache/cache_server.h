@@ -173,9 +173,6 @@ class CacheServer : public InvalidationSubscriber {
   std::vector<InsertRequest> ExportHotKeys(size_t max_keys);
 
   const std::string& name() const { return name_; }
-  // Node-wide tag-set dedup (diagnostic: distinct sets tracked, interns answered by an
-  // already-live set). Safe under concurrent load.
-  const TagSetInterner& tag_interner() const { return tag_interner_; }
   CacheStats stats() const;  // aggregated over shards; safe under concurrent load
   // Per-function cost/benefit profiles (fills, hits, rejects, EWMA benefit-per-byte), sorted
   // by function name; hits are merged from the shards' counters. Safe under concurrent load.
@@ -262,9 +259,6 @@ class CacheServer : public InvalidationSubscriber {
   // Node-wide function-name interning: shards store dense uint32 ids on their versions and
   // resolve names only on cold paths. Declared before shards_ (they capture a pointer).
   FunctionInterner interner_;
-  // Node-wide tag-set dedup: versions with identical invalidation-tag sets share one
-  // allocation. Declared before shards_ (they capture a pointer).
-  TagSetInterner tag_interner_;
   std::vector<std::unique_ptr<CacheShard>> shards_;
   StreamSequencer sequencer_;
 

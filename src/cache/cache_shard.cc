@@ -89,7 +89,7 @@ uint64_t NextTick(std::atomic<uint64_t>* ticker) {
 CacheShard::CacheShard(const Clock* clock, const CacheOptions& options,
                        std::atomic<size_t>* global_bytes, std::atomic<uint64_t>* touch_ticker,
                        std::atomic<double>* aging_floor, FunctionAdvisor* advisor,
-                       FunctionInterner* interner, TagSetInterner* tag_interner)
+                       FunctionInterner* interner)
     : clock_(clock),
       options_(options),
       global_bytes_(global_bytes),
@@ -97,7 +97,6 @@ CacheShard::CacheShard(const Clock* clock, const CacheOptions& options,
       aging_floor_(aging_floor),
       advisor_(advisor),
       interner_(interner),
-      tag_interner_(tag_interner),
       domain_(&EbrDomain::Global()),
       table_(domain_),
       stripe_count_(DefaultStripes(options)),
@@ -399,9 +398,7 @@ LookupResponse CacheShard::LookupRead(const LookupRequest& req, uint64_t key_has
   const bool sv = best->still_valid.load(std::memory_order_acquire);
   resp.still_valid = sv;
   if (sv) {
-    // Alias the BLOCK's control block, not the interned set's — still one refcount per hit.
-    resp.tags =
-        std::shared_ptr<const std::vector<InvalidationTag>>(block, block->tags.get());
+    resp.tags = std::shared_ptr<const std::vector<InvalidationTag>>(block, &block->tags);
   }
   return resp;
 }
@@ -498,7 +495,7 @@ std::vector<InsertRequest> CacheShard::ExportForReplication(
     // A replica ahead of that position re-checks the claim against its own replay history
     // at insert time; a replica behind it truncates when the killing message arrives.
     req.computed_at = std::max(best->known_valid_through, last_ts);
-    req.tags = *best->block->tags;
+    req.tags = best->block->tags;
     req.fill_cost_us = best->fill_cost_us;
     out.push_back(std::move(req));
   });
@@ -537,9 +534,8 @@ LookupResponse CacheShard::LookupExclusive(const LookupRequest& req, uint64_t ke
   resp.intent_owner = best->intent_owner.load(std::memory_order_relaxed);
   resp.still_valid = best->still_valid.load(std::memory_order_relaxed);
   if (resp.still_valid) {
-    // Exclusive-path baseline: share the interned set directly (a second refcount is fine
-    // off the hot path).
-    resp.tags = best->block->tags;
+    resp.tags = std::shared_ptr<const std::vector<InvalidationTag>>(best->block,
+                                                                    &best->block->tags);
   }
   return resp;
 }
@@ -624,7 +620,7 @@ Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, std::stri
   version->still_valid.store(still_valid, std::memory_order_relaxed);
   auto block = std::make_shared<ResidentBlock>();
   block->value = req.value;
-  block->tags = tag_interner_->Intern(req.tags);
+  block->tags = req.tags;
   if (hints != nullptr) {
     block->hints = *hints;
     block->has_hints = true;
@@ -764,7 +760,7 @@ void CacheShard::TruncateLocked(Version* v, Timestamp ts, WallClock wallclock) {
 }
 
 void CacheShard::RegisterTagsLocked(Version* v) {
-  for (const InvalidationTag& tag : *v->block->tags) {
+  for (const InvalidationTag& tag : v->block->tags) {
     if (tag.wildcard) {
       wildcard_holders_[tag.table].insert(v);
     } else {
@@ -775,7 +771,7 @@ void CacheShard::RegisterTagsLocked(Version* v) {
 }
 
 void CacheShard::UnregisterTagsLocked(Version* v) {
-  for (const InvalidationTag& tag : *v->block->tags) {
+  for (const InvalidationTag& tag : v->block->tags) {
     if (tag.wildcard) {
       auto it = wildcard_holders_.find(tag.table);
       if (it != wildcard_holders_.end()) {
@@ -1108,8 +1104,8 @@ std::pair<uint64_t, std::string> CacheShard::ExportEntries() const {
       w.PutU64(sv ? kTimestampInfinity : v->upper.load(std::memory_order_relaxed));
       w.PutU64(v->known_valid_through);
       w.PutU64(v->fill_cost_us);
-      w.PutU32(static_cast<uint32_t>(v->block->tags->size()));
-      for (const InvalidationTag& tag : *v->block->tags) {
+      w.PutU32(static_cast<uint32_t>(v->block->tags.size()));
+      for (const InvalidationTag& tag : v->block->tags) {
         w.PutString(tag.table);
         w.PutString(tag.index);
         w.PutString(tag.key);

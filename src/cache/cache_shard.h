@@ -62,7 +62,6 @@
 #include "src/cache/flat_table.h"
 #include "src/cache/function_advisor.h"
 #include "src/cache/function_interner.h"
-#include "src/cache/tag_interner.h"
 #include "src/util/clock.h"
 #include "src/util/ebr.h"
 #include "src/util/hash.h"
@@ -110,12 +109,11 @@ struct VictimPreview {
 class CacheShard {
  public:
   // `interner` is the node-wide function-name interner (shared across shards so ids agree);
-  // `tag_interner` dedups identical invalidation-tag sets across versions node-wide. Both
-  // must outlive the shard.
+  // it must outlive the shard.
   CacheShard(const Clock* clock, const CacheOptions& options,
              std::atomic<size_t>* global_bytes, std::atomic<uint64_t>* touch_ticker,
              std::atomic<double>* aging_floor, FunctionAdvisor* advisor,
-             FunctionInterner* interner, TagSetInterner* tag_interner);
+             FunctionInterner* interner);
   ~CacheShard();
 
   // Byte cost a version created from `req` would be charged against the node budget. Public so
@@ -244,11 +242,7 @@ class CacheShard {
   // time (the contract has always allowed hints to lag; fresh ones flow via InsertResponse).
   struct ResidentBlock {
     std::string value;
-    // Interned via TagSetInterner: versions carrying identical tag sets alias one shared
-    // allocation (never null — the empty set is a singleton). The hit path hands out an
-    // alias of the *block* pointing at this vector, so a hit still bumps exactly one
-    // refcount; the interned set lives as long as any block referencing it.
-    std::shared_ptr<const std::vector<InvalidationTag>> tags;
+    std::vector<InvalidationTag> tags;
     AdvisoryHints hints{};
     bool has_hints = false;
   };
@@ -449,7 +443,6 @@ class CacheShard {
   std::atomic<double>* const aging_floor_;     // shared GreedyDual aging value (max evicted score)
   FunctionAdvisor* const advisor_;             // node-global TTL learning + hint snapshots
   FunctionInterner* const interner_;           // node-global function-name interning
-  TagSetInterner* const tag_interner_;         // node-global tag-set deduplication
   EbrDomain* const domain_;                    // process-global reclamation domain
 
   // Writers (insert, invalidation, sweep, eviction, flush, reset) take the exclusive side;

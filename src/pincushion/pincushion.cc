@@ -72,24 +72,6 @@ size_t Pincushion::pinned_count() const {
   return pins_.size();
 }
 
-std::vector<Pincushion::PinEntry> Pincushion::ExportState() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PinEntry> out;
-  out.reserve(pins_.size());
-  for (const auto& [ts, entry] : pins_) {
-    out.push_back(PinEntry{ts, entry.pinned_at, entry.in_use, entry.db_pin_count});
-  }
-  return out;
-}
-
-void Pincushion::ImportState(const std::vector<PinEntry>& entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pins_.clear();
-  for (const PinEntry& e : entries) {
-    pins_[e.ts] = Entry{e.pinned_at, e.in_use, e.db_pin_count};
-  }
-}
-
 PincushionStats Pincushion::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

@@ -61,16 +61,6 @@ class Pincushion {
   size_t pinned_count() const;
   PincushionStats stats() const;
 
-  // State transfer for replication (ReplicatedPincushion): a full snapshot of the pin table.
-  struct PinEntry {
-    Timestamp ts = kTimestampZero;
-    WallClock pinned_at = 0;
-    int in_use = 0;
-    int db_pin_count = 0;
-  };
-  std::vector<PinEntry> ExportState() const;
-  void ImportState(const std::vector<PinEntry>& entries);
-
  private:
   struct Entry {
     WallClock pinned_at = 0;
