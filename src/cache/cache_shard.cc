@@ -187,15 +187,10 @@ void CacheShard::DrainTouchesLocked() {
   // lru_ fully sorted by last touch among the drained set. Lock-free hitters keep storing
   // ticks while we sort, so each version's tick is snapshotted once and the sort compares the
   // snapshots: a comparator re-reading the live atomics can see an inconsistent order, which
-  // std::sort's unguarded insertion pass turns into reads outside the buffer.
-  auto by_version = [](const TickedVersion& a, const TickedVersion& b) {
-    return a.second < b.second;
-  };
-  auto same_version = [](const TickedVersion& a, const TickedVersion& b) {
-    return a.second == b.second;
-  };
-  std::sort(drain_scratch_.begin(), drain_scratch_.end(), by_version);
-  drain_scratch_.erase(std::unique(drain_scratch_.begin(), drain_scratch_.end(), same_version),
+  // std::sort's unguarded insertion pass turns into reads outside the buffer. The dedup runs
+  // while every snapshot slot is still 0, so it orders and compares by version alone.
+  std::sort(drain_scratch_.begin(), drain_scratch_.end());
+  drain_scratch_.erase(std::unique(drain_scratch_.begin(), drain_scratch_.end()),
                        drain_scratch_.end());
   for (TickedVersion& tv : drain_scratch_) {
     tv.first = tv.second->touch_tick.load(std::memory_order_relaxed);
