@@ -55,16 +55,13 @@ CacheServer::CacheServer(std::string name, const Clock* clock, Options options)
     : name_(std::move(name)),
       clock_(clock),
       options_(options),
-      interner_(options.max_function_profiles),
-      sequencer_([this](const InvalidationMessage& msg) { ApplySequenced(msg); }),
-      advisor_(options.lifetime_ewma_alpha, options.lifetime_min_samples,
-               options.max_function_profiles) {
+      functions_(options),
+      sequencer_([this](const InvalidationMessage& msg) { ApplySequenced(msg); }) {
   const size_t n = std::max<size_t>(options_.num_shards, 1);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<CacheShard>(clock_, options_, &bytes_used_,
-                                                   &touch_ticker_, &aging_floor_, &advisor_,
-                                                   &interner_));
+                                                   &touch_ticker_, &aging_floor_, &functions_));
   }
 }
 
@@ -343,17 +340,7 @@ double CacheServer::DisplacementCost(size_t bytes_needed) const {
   return cost;
 }
 
-std::shared_ptr<const AdvisoryHints> CacheServer::PublishHintsLocked(
-    const std::string& function, const FunctionProfile& p) {
-  // One advisor lock hop: the learned lifetime is read and the snapshot swapped (only when
-  // something changed) inside a single Publish call.
-  return advisor_.Publish(function, p.ewma_benefit_per_byte,
-                          p.fills == 0 ? 0.0
-                                       : static_cast<double>(p.rejects + p.too_large) /
-                                             static_cast<double>(p.fills));
-}
-
-Status CacheServer::AdmitInsert(const InsertRequest& req, const std::string& function,
+Status CacheServer::AdmitInsert(const InsertRequest& req, uint32_t* fn_id,
                                 std::shared_ptr<const AdvisoryHints>* hints) {
   if (options_.policy != EvictionPolicy::kCostAware) {
     // Plain LRU keeps the PR-1 insert path untouched: no node-global lock, no profiling.
@@ -393,53 +380,49 @@ Status CacheServer::AdmitInsert(const InsertRequest& req, const std::string& fun
     }
   }
 
-  std::lock_guard<std::mutex> lock(fn_mu_);
-  auto it = fn_profiles_.find(function);
-  if (it == fn_profiles_.end()) {
-    if (fn_profiles_.size() >= options_.max_function_profiles) {
-      // Over the profile cap: unprofiled functions are never watermark-declined, but the
-      // per-entry size gate still applies (it needs no profile).
-      if (!size_gate.ok()) {
-        admission_rejects_too_large_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return size_gate;
-    }
-    it = fn_profiles_.emplace(function, FunctionProfile{}).first;
-    it->second.ewma_benefit_per_byte = bpb;  // optimistic prior: assume one hit per fill
-  }
-  FunctionProfile& p = it->second;
-  ++p.fills;
-  p.bytes_inserted += est_bytes;
-  p.fill_cost_total_us += req.fill_cost_us;
   if (!size_gate.ok()) {
-    ++p.too_large;
     admission_rejects_too_large_.fetch_add(1, std::memory_order_relaxed);
-    *hints = PublishHintsLocked(function, p);
-    return size_gate;
   }
-  // Decline only when (a) the node is under byte pressure (this insert forces an eviction),
-  // (b) the function has been observed enough to trust its profile, and (c) its realized
-  // benefit-per-byte sits below the watermark — a fraction of the aging floor, i.e. of the
-  // score entries are currently being evicted at. Such an entry would be evicted almost
-  // immediately, so storing it only displaces more valuable bytes.
-  const double floor = aging_floor_.load(std::memory_order_relaxed);
-  if (floor > 0.0 && pressure && p.fills > options_.admission_min_samples &&
-      p.ewma_benefit_per_byte < floor * options_.admission_watermark_fraction) {
-    ++p.rejects;
-    if (options_.admission_probe_interval != 0 &&
-        p.rejects % options_.admission_probe_interval == 0) {
-      // Periodic probe: admit anyway so a function whose workload turned hot can re-earn
-      // admission through the realized hits of this entry.
-      admission_probes_.fetch_add(1, std::memory_order_relaxed);
-      *hints = PublishHintsLocked(function, p);
-      return Status::Ok();
-    }
-    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-    *hints = PublishHintsLocked(function, p);
-    return Status::Declined("benefit-per-byte below admission watermark");
-  }
-  *hints = PublishHintsLocked(function, p);
-  return Status::Ok();
+  // Per-function bookkeeping. Over the profile cap nothing is recorded and only the size gate
+  // applies (it needs no profile).
+  Status verdict = size_gate;
+  *fn_id = functions_.Update(
+      CacheKeyFunction(req.key),
+      [&](FunctionTable::Entry& e) {
+        FunctionStatsEntry& p = e.stats;
+        if (p.fills == 0) {
+          p.ewma_benefit_per_byte = bpb;  // first sight, optimistic prior: one hit per fill
+        }
+        ++p.fills;
+        p.bytes_inserted += est_bytes;
+        p.fill_cost_total_us += req.fill_cost_us;
+        if (!size_gate.ok()) {
+          ++p.declined_too_large;
+          return;
+        }
+        // Decline only when (a) the node is under byte pressure (this insert forces an
+        // eviction), (b) the function has been observed enough to trust its profile, and (c)
+        // its realized benefit-per-byte sits below the watermark — a fraction of the aging
+        // floor, i.e. of the score entries are currently being evicted at. Such an entry
+        // would be evicted almost immediately, so storing it only displaces more valuable
+        // bytes.
+        const double floor = aging_floor_.load(std::memory_order_relaxed);
+        if (floor > 0.0 && pressure && p.fills > options_.admission_min_samples &&
+            p.ewma_benefit_per_byte < floor * options_.admission_watermark_fraction) {
+          ++p.admission_rejects;
+          if (options_.admission_probe_interval != 0 &&
+              p.admission_rejects % options_.admission_probe_interval == 0) {
+            // Periodic probe: admit anyway so a function whose workload turned hot can
+            // re-earn admission through the realized hits of this entry.
+            admission_probes_.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+          verdict = Status::Declined("benefit-per-byte below admission watermark");
+        }
+      },
+      hints);
+  return verdict;
 }
 
 Status CacheServer::Insert(const InsertRequest& req,
@@ -456,15 +439,13 @@ Status CacheServer::Insert(const InsertRequest& req,
 
 Status CacheServer::InsertImpl(const InsertRequest& req,
                                std::shared_ptr<const AdvisoryHints>* hints_out) {
-  // Hash and parse once per insert: the key hash routes the shard and probes its map; the
-  // function prefix feeds the admission gate, the shard's per-function hit bookkeeping and
-  // the eviction fold-back. Plain LRU never uses the function, so it skips the parse.
+  // Hash and intern once per insert: the key hash routes the shard and probes its map; the
+  // function id (0 under plain LRU, which never parses the function) feeds the shard's
+  // per-function hit bookkeeping, TTL learning and the eviction fold-back.
   const uint64_t key_hash = RequestKeyHash(req);
-  std::string function = options_.policy == EvictionPolicy::kCostAware
-                             ? CacheKeyFunction(req.key)
-                             : std::string();
+  uint32_t fn_id = 0;
   std::shared_ptr<const AdvisoryHints> hints;
-  Status admitted = AdmitInsert(req, function, &hints);
+  Status admitted = AdmitInsert(req, &fn_id, &hints);
   if (hints_out != nullptr) {
     *hints_out = hints;
   }
@@ -472,8 +453,7 @@ Status CacheServer::InsertImpl(const InsertRequest& req,
     return admitted;
   }
   bool sweep_due = false;
-  Status st = ShardForHash(key_hash)->Insert(req, key_hash, std::move(function),
-                                             std::move(hints), &sweep_due);
+  Status st = ShardForHash(key_hash)->Insert(req, key_hash, fn_id, std::move(hints), &sweep_due);
   if (!st.ok()) {
     return st;
   }
@@ -542,14 +522,14 @@ void CacheServer::ApplySequenced(const InvalidationMessage& msg) {
 void CacheServer::SweepAllShards() {
   // The trigger is a per-shard op counter (so skewed traffic still fires), but the sweep
   // itself covers every shard: stale garbage parked in a cold shard would otherwise never be
-  // collected, since cold shards by definition see no ops of their own. The learned-lifetime
-  // snapshot for the TTL-expiry pass is taken once here and shared by every shard.
-  CacheShard::LifetimeSnapshot learned;
+  // collected, since cold shards by definition see no ops of their own. The TTL-expiry
+  // pass's per-function demotion limits are read once here and shared by every shard.
+  std::vector<double> ttl_limits;
   if (options_.policy == EvictionPolicy::kCostAware && options_.ttl_expiry_slack > 0.0) {
-    learned = advisor_.LifetimeSnapshot();
+    ttl_limits = functions_.DemotionLimits(options_.ttl_expiry_slack);
   }
   for (auto& shard : shards_) {
-    shard->SweepStale(&learned);
+    shard->SweepStale(ttl_limits);
   }
 }
 
@@ -615,16 +595,13 @@ void CacheServer::EvictToFit() {
               ? 0.0
               : static_cast<double>(evicted->hits) * static_cast<double>(evicted->fill_cost_us) /
                     static_cast<double>(evicted->bytes);
-      std::lock_guard<std::mutex> lock(fn_mu_);
-      auto it = fn_profiles_.find(evicted->function);
-      if (it != fn_profiles_.end()) {  // unprofiled (over the cap): nothing to update
-        const double a = options_.benefit_ewma_alpha;
-        it->second.ewma_benefit_per_byte =
-            a * realized + (1.0 - a) * it->second.ewma_benefit_per_byte;
-        // Keep the published advisory snapshot tracking the fold-back, so clients observing
-        // hints see the same EWMA the admission gate will judge their next fill by.
-        PublishHintsLocked(evicted->function, it->second);
-      }
+      // The update republishes the advisory snapshot too, so clients observing hints see
+      // the same EWMA the admission gate will judge their next fill by. Unprofiled victims
+      // (id 0, over the cap) update nothing.
+      const double a = options_.benefit_ewma_alpha;
+      functions_.Update(evicted->fn_id, [&](FunctionTable::Entry& e) {
+        e.stats.ewma_benefit_per_byte = a * realized + (1.0 - a) * e.stats.ewma_benefit_per_byte;
+      });
     }
   }
 }
@@ -787,48 +764,21 @@ CacheStats CacheServer::stats() const {
 }
 
 std::vector<FunctionStatsEntry> CacheServer::FunctionStats() const {
-  std::unordered_map<std::string, FunctionStatsEntry> merged;
-  {
-    std::lock_guard<std::mutex> lock(fn_mu_);
-    merged.reserve(fn_profiles_.size());
-    for (const auto& [name, p] : fn_profiles_) {
-      FunctionStatsEntry e;
-      e.function = name;
-      e.fills = p.fills;
-      e.admission_rejects = p.rejects;
-      e.declined_too_large = p.too_large;
-      e.bytes_inserted = p.bytes_inserted;
-      e.fill_cost_total_us = p.fill_cost_total_us;
-      e.ewma_benefit_per_byte = p.ewma_benefit_per_byte;
-      merged.emplace(name, std::move(e));
-    }
-  }
-  for (const auto& [name, lt] : advisor_.LifetimeSnapshot()) {
-    auto it = merged.find(name);
-    if (it == merged.end()) {
-      FunctionStatsEntry e;
-      e.function = name;
-      it = merged.emplace(name, std::move(e)).first;
-    }
-    it->second.truncations = lt.truncations;
-    it->second.ewma_lifetime_us = lt.ewma_lifetime_us;
-  }
+  // Shard hits first: every id a shard attributes was assigned before its insert reached the
+  // shard, so the table read afterwards covers it.
+  std::vector<uint64_t> hits;
   for (const auto& shard : shards_) {
-    for (const auto& [name, hits] : shard->FunctionHits()) {
-      auto it = merged.find(name);
-      if (it == merged.end()) {
-        FunctionStatsEntry e;
-        e.function = name;
-        it = merged.emplace(name, std::move(e)).first;
-      }
-      it->second.hits += hits;
+    const std::vector<uint64_t> shard_hits = shard->FunctionHits();
+    hits.resize(std::max(hits.size(), shard_hits.size()), 0);
+    for (size_t id = 0; id < shard_hits.size(); ++id) {
+      hits[id] += shard_hits[id];
     }
   }
-  std::vector<FunctionStatsEntry> out;
-  out.reserve(merged.size());
-  for (auto& [_, e] : merged) {
-    out.push_back(std::move(e));
+  std::vector<FunctionStatsEntry> out = functions_.Stats();
+  for (size_t id = 0; id < hits.size(); ++id) {
+    out[id].hits = hits[id];
   }
+  out.erase(out.begin());  // id 0: the unattributed function
   std::sort(out.begin(), out.end(),
             [](const FunctionStatsEntry& a, const FunctionStatsEntry& b) {
               return a.function < b.function;

@@ -44,6 +44,7 @@
 #include "src/bus/sequencer.h"
 #include "src/cache/cache_shard.h"
 #include "src/cache/cache_types.h"
+#include "src/cache/function_table.h"
 #include "src/cache/snapshot_store.h"
 #include "src/util/clock.h"
 #include "src/util/status.h"
@@ -202,16 +203,6 @@ class CacheServer : public InvalidationSubscriber {
   uint64_t exclusive_lock_acquisitions() const;
 
  private:
-  // Admission bookkeeping per function. `hits` lives shard-side; everything else here.
-  struct FunctionProfile {
-    uint64_t fills = 0;
-    uint64_t rejects = 0;    // watermark triggers (a probe still counts as a trigger)
-    uint64_t too_large = 0;  // size-aware declines (guard or lost displacement comparison)
-    uint64_t bytes_inserted = 0;
-    uint64_t fill_cost_total_us = 0;
-    double ewma_benefit_per_byte = 0.0;
-  };
-
   CacheShard* ShardForHash(uint64_t key_hash) const;
   // Applies one in-order message: fan out to every shard (strict order is guaranteed by the
   // sequencer serializing this sink).
@@ -224,17 +215,14 @@ class CacheServer : public InvalidationSubscriber {
   // realized benefit back into its function's admission profile.
   void EvictToFit();
   // Returns kDeclined / kDeclinedTooLarge when the admission gate refuses this fill; Ok to
-  // proceed. `function` is CacheKeyFunction(req.key), parsed once by Insert and reused here
-  // and shard-side. `*hints` receives the function's freshly published advisory snapshot.
-  Status AdmitInsert(const InsertRequest& req, const std::string& function,
+  // proceed. Under kCostAware, `*fn_id` receives the function's id in functions_ (0 over the
+  // profile cap) and `*hints` its freshly published advisory snapshot.
+  Status AdmitInsert(const InsertRequest& req, uint32_t* fn_id,
                      std::shared_ptr<const AdvisoryHints>* hints);
   // Summed remaining benefit (µs) of the victims the policy would evict to free
   // `bytes_needed`: every stale-listed victim is free; scored victims charge
   // max(0, score - aging floor) x bytes, cheapest first across all shards.
   double DisplacementCost(size_t bytes_needed) const;
-  // Builds and publishes the function's advisory snapshot from its profile (fn_mu_ held).
-  std::shared_ptr<const AdvisoryHints> PublishHintsLocked(const std::string& function,
-                                                          const FunctionProfile& p);
   // Insert body shared by the public (serving-gated) Insert and ImportSnapshot, which must
   // bypass the gate: warm rejoin imports while the join barrier is still up.
   Status InsertImpl(const InsertRequest& req, std::shared_ptr<const AdvisoryHints>* hints_out);
@@ -256,9 +244,9 @@ class CacheServer : public InvalidationSubscriber {
   std::atomic<size_t> bytes_used_{0};     // shared with shards
   std::atomic<uint64_t> touch_ticker_{1};  // node-global LRU clock, shared with shards
   std::atomic<double> aging_floor_{0.0};   // shared GreedyDual aging value
-  // Node-wide function-name interning: shards store dense uint32 ids on their versions and
-  // resolve names only on cold paths. Declared before shards_ (they capture a pointer).
-  FunctionInterner interner_;
+  // Per-function profiles, TTL learning and hints, shared with the shards (which store each
+  // version's function id). Declared before shards_: they capture a pointer.
+  FunctionTable functions_;
   std::vector<std::unique_ptr<CacheShard>> shards_;
   StreamSequencer sequencer_;
 
@@ -290,13 +278,6 @@ class CacheServer : public InvalidationSubscriber {
   std::atomic<uint64_t> admission_rejects_{0};
   std::atomic<uint64_t> admission_probes_{0};
   std::atomic<uint64_t> admission_rejects_too_large_{0};
-
-  mutable std::mutex fn_mu_;
-  std::unordered_map<std::string, FunctionProfile> fn_profiles_;
-  // Node-global TTL learning and advisory-hint snapshots, shared with the shards. Declared
-  // after the profile map only for grouping; it guards itself with a leaf mutex (lock order:
-  // fn_mu_ or a shard lock may be held when calling in, never the reverse).
-  FunctionAdvisor advisor_;
 
   // Messages applied in order (counted once per message, not per shard).
   std::atomic<uint64_t> invalidation_messages_{0};

@@ -88,15 +88,13 @@ uint64_t NextTick(std::atomic<uint64_t>* ticker) {
 
 CacheShard::CacheShard(const Clock* clock, const CacheOptions& options,
                        std::atomic<size_t>* global_bytes, std::atomic<uint64_t>* touch_ticker,
-                       std::atomic<double>* aging_floor, FunctionAdvisor* advisor,
-                       FunctionInterner* interner)
+                       std::atomic<double>* aging_floor, FunctionTable* functions)
     : clock_(clock),
       options_(options),
       global_bytes_(global_bytes),
       touch_ticker_(touch_ticker),
       aging_floor_(aging_floor),
-      advisor_(advisor),
-      interner_(interner),
+      functions_(functions),
       domain_(&EbrDomain::Global()),
       table_(domain_),
       stripe_count_(DefaultStripes(options)),
@@ -154,8 +152,8 @@ void CacheShard::AttributeHitsLocked(Version* v) {
   if (total == v->attributed_hits) {
     return;
   }
-  // Per-function hit attribution into a dense vector indexed by the interned id (the
-  // interner's cap bounds it like the frontend's profile map).
+  // Per-function hit attribution into a dense vector indexed by the function id (bounded by
+  // the function table's cap).
   if (v->fn_id >= fn_hits_.size()) {
     fn_hits_.resize(v->fn_id + 1, 0);
   }
@@ -239,9 +237,7 @@ EvictedVersion CacheShard::MakeEvictedLocked(const Version& v) const {
   out.bytes = v.bytes;
   out.fill_cost_us = v.fill_cost_us;
   out.hits = v.hit_count.load(std::memory_order_relaxed);
-  if (v.fn_id != 0) {
-    out.function = interner_->Name(v.fn_id);  // cold path; never on a hit
-  }
+  out.fn_id = v.fn_id;
   return out;
 }
 
@@ -543,7 +539,7 @@ bool CacheShard::CountOpLocked() {
   return false;
 }
 
-Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, std::string function,
+Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, uint32_t fn_id,
                           std::shared_ptr<const AdvisoryHints> hints, bool* sweep_due) {
   std::unique_lock<InstrumentedSharedMutex> lock(mu_);
   DrainTouchesLocked();
@@ -625,7 +621,7 @@ Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, std::stri
   version->bytes = EstimateBytes(req);
   version->touch_tick.store(NextTick(touch_ticker_), std::memory_order_relaxed);
   version->fill_cost_us = req.fill_cost_us;
-  version->fn_id = interner_->Intern(function);
+  version->fn_id = fn_id;
   version->inserted_wallclock = clock_->Now();
   version->owner = slot;
   version->insert_seq = ++insert_seq_;
@@ -731,15 +727,12 @@ void CacheShard::TruncateLocked(Version* v, Timestamp ts, WallClock wallclock) {
   v->still_valid.store(false, std::memory_order_release);
   v->invalidated_wallclock = wallclock;
   if (cost_aware()) {
-    if (advisor_ != nullptr && v->fn_id != 0) {
-      // TTL learning: the stream just revealed how long this function's result actually
-      // stayed valid while resident. (Insert-time truncations never reach here — they carry
-      // no residency interval worth learning from.)
-      const WallClock lived = wallclock > v->inserted_wallclock
-                                  ? wallclock - v->inserted_wallclock
-                                  : WallClock{0};
-      advisor_->ObserveLifetime(interner_->Name(v->fn_id), static_cast<uint64_t>(lived));
-    }
+    // TTL learning: the stream just revealed how long this function's result actually
+    // stayed valid while resident. (Insert-time truncations never reach here — they carry no
+    // residency interval worth learning from.)
+    const WallClock lived =
+        wallclock > v->inserted_wallclock ? wallclock - v->inserted_wallclock : WallClock{0};
+    functions_->ObserveLifetime(v->fn_id, static_cast<uint64_t>(lived));
     if (v->ttl_demoted) {
       // Already parked in the stale list by learned-TTL expiry — the prediction just came
       // true. Keep its (earlier) stale position; it is now genuinely stale.
@@ -943,61 +936,32 @@ std::optional<EvictedVersion> CacheShard::EvictOne() {
   return out;
 }
 
-std::unordered_map<std::string, uint64_t> CacheShard::FunctionHits() {
+std::vector<uint64_t> CacheShard::FunctionHits() {
   std::unique_lock<InstrumentedSharedMutex> lock(mu_);
   // Fold pending touches in first so profiles reflect every completed hit (the overflow
   // repair folds the whole LRU list, so dropped touch records cannot lose attribution).
   DrainTouchesLocked();
-  std::unordered_map<std::string, uint64_t> out;
-  for (uint32_t id = 1; id < fn_hits_.size(); ++id) {
-    if (fn_hits_[id] != 0) {
-      out.emplace(interner_->Name(id), fn_hits_[id]);
-    }
-  }
-  return out;
+  return fn_hits_;
 }
 
-void CacheShard::SweepStale(const LifetimeSnapshot* learned) {
-  const bool ttl_enabled =
-      cost_aware() && advisor_ != nullptr && options_.ttl_expiry_slack > 0.0;
-  // Snapshot (when the caller did not) BEFORE taking the exclusive lock: the advisor is a
-  // node-global mutex, and the all-shards sweep passes one shared snapshot precisely so the
-  // copy is not re-made under every shard's lock.
-  LifetimeSnapshot own;
-  if (ttl_enabled && learned == nullptr) {
-    own = advisor_->LifetimeSnapshot();
-    learned = &own;
-  }
+void CacheShard::SweepStale(const std::vector<double>& ttl_limits) {
   std::unique_lock<InstrumentedSharedMutex> lock(mu_);
   DrainTouchesLocked();
   SweepStaleLocked();
-  if (ttl_enabled) {
-    DemoteTtlExpiredLocked(*learned);
+  if (!ttl_limits.empty()) {
+    DemoteTtlExpiredLocked(ttl_limits);
   }
 }
 
-void CacheShard::DemoteTtlExpiredLocked(const LifetimeSnapshot& learned) {
+void CacheShard::DemoteTtlExpiredLocked(const std::vector<double>& ttl_limits) {
   // Scan the score index: only still-valid, score-indexed versions are demotion candidates.
-  if (learned.empty()) {
-    return;
-  }
+  // Functions with no learned lifetime have an infinite limit (never demote on guesswork), as
+  // do ids interned after the caller read the limits.
   const WallClock now = clock_->Now();
   std::vector<Version*> expired;
-  std::unordered_map<uint32_t, std::string> names;  // resolve each fn id once per pass
   for (const auto& [_, v] : score_index_) {
-    if (v->fn_id == 0) {
-      continue;
-    }
-    auto nit = names.find(v->fn_id);
-    if (nit == names.end()) {
-      nit = names.emplace(v->fn_id, interner_->Name(v->fn_id)).first;
-    }
-    auto it = learned.find(nit->second);
-    if (it == learned.end() || it->second.truncations < options_.lifetime_min_samples) {
-      continue;  // lifetime not learned yet: never demote on guesswork
-    }
-    const double limit = options_.ttl_expiry_slack * it->second.ewma_lifetime_us;
-    if (static_cast<double>(now - v->inserted_wallclock) > limit) {
+    if (v->fn_id < ttl_limits.size() &&
+        static_cast<double>(now - v->inserted_wallclock) > ttl_limits[v->fn_id]) {
       expired.push_back(v);
     }
   }
@@ -1136,9 +1100,9 @@ void CacheShard::CloseAllStillValid(Timestamp through) {
   for (Version* v : open) {
     // Same store order as TruncateLocked (upper, then the release-clear of still_valid) so
     // lock-free readers racing this closure observe a consistent narrowed interval. No
-    // lifetime is reported to the advisor — this is a join-time administrative closure, not
-    // a stream-revealed lifetime — and invalidation_truncations stays untouched for the same
-    // reason.
+    // lifetime is reported to the function table — this is a join-time administrative
+    // closure, not a stream-revealed lifetime — and invalidation_truncations stays untouched
+    // for the same reason.
     UnregisterTagsLocked(v);
     v->upper.store(std::max(v->known_valid_through, through) + 1, std::memory_order_relaxed);
     v->still_valid.store(false, std::memory_order_release);

@@ -60,8 +60,7 @@
 #include "src/bus/invalidation.h"
 #include "src/cache/cache_types.h"
 #include "src/cache/flat_table.h"
-#include "src/cache/function_advisor.h"
-#include "src/cache/function_interner.h"
+#include "src/cache/function_table.h"
 #include "src/util/clock.h"
 #include "src/util/ebr.h"
 #include "src/util/hash.h"
@@ -78,7 +77,7 @@ struct EvictedVersion {
   size_t bytes = 0;
   uint64_t fill_cost_us = 0;
   uint64_t hits = 0;
-  std::string function;  // CacheKeyFunction of the evicted key (interned once, at insert)
+  uint32_t fn_id = 0;  // the evicted version's FunctionTable id (0: unprofiled)
 };
 
 // Cheapest victim this shard could offer right now; the frontend compares candidates across
@@ -108,12 +107,11 @@ struct VictimPreview {
 
 class CacheShard {
  public:
-  // `interner` is the node-wide function-name interner (shared across shards so ids agree);
-  // it must outlive the shard.
+  // `functions` is the node-wide per-function table (shared across shards so ids agree); it
+  // must outlive the shard.
   CacheShard(const Clock* clock, const CacheOptions& options,
              std::atomic<size_t>* global_bytes, std::atomic<uint64_t>* touch_ticker,
-             std::atomic<double>* aging_floor, FunctionAdvisor* advisor,
-             FunctionInterner* interner);
+             std::atomic<double>* aging_floor, FunctionTable* functions);
   ~CacheShard();
 
   // Byte cost a version created from `req` would be charged against the node budget. Public so
@@ -131,26 +129,23 @@ class CacheShard {
   // time.
   void LookupBatch(const MultiLookupRequest& req, const std::vector<uint32_t>& indices,
                    MultiLookupResponse* out);
-  // `function` is CacheKeyFunction(req.key), parsed once by the frontend (empty under plain
-  // LRU, which never uses it); `hints` is the function's current advisory snapshot, copied
-  // into the stored version's resident block so the zero-copy hit path can serve it without a
-  // map probe. `*sweep_due` is set when this shard's mutating-op counter crossed the sweep
-  // interval; the caller (frontend) then sweeps all shards without any shard lock held.
-  Status Insert(const InsertRequest& req, uint64_t key_hash, std::string function,
+  // `fn_id` is the key's FunctionTable id, interned once by the frontend's admission gate (0
+  // under plain LRU and over the profile cap); `hints` is the function's current advisory
+  // snapshot, copied into the stored version's resident block so the zero-copy hit path can
+  // serve it without a map probe. `*sweep_due` is set when this shard's mutating-op counter
+  // crossed the sweep interval; the caller (frontend) then sweeps all shards without any
+  // shard lock held.
+  Status Insert(const InsertRequest& req, uint64_t key_hash, uint32_t fn_id,
                 std::shared_ptr<const AdvisoryHints> hints, bool* sweep_due);
 
   // Applies one invalidation message. The caller (the node's sequencer sink) guarantees
   // strict seqno order and no concurrent invocations.
   void ApplyInvalidation(const InvalidationMessage& msg, bool* sweep_due);
 
-  // Per-function learned-lifetime snapshot, shared across one sweep pass.
-  using LifetimeSnapshot = std::unordered_map<std::string, FunctionAdvisor::LifetimeEntry>;
-
   // Eager eviction of versions invalidated longer ago than any staleness limit accepts,
-  // followed by the TTL-expiry demotion pass. `learned` is the advisor snapshot the caller
-  // took once for the whole all-shards sweep (null: this shard snapshots for itself —
-  // standalone callers, tests).
-  void SweepStale(const LifetimeSnapshot* learned = nullptr);
+  // followed by the TTL-expiry demotion pass. `ttl_limits` is FunctionTable::DemotionLimits,
+  // read once by the caller for the whole all-shards sweep; empty skips the pass.
+  void SweepStale(const std::vector<double>& ttl_limits);
 
   // Node-global eviction support. Under kLru the frontend compares OldestTick across shards
   // and evicts from the globally least-recently-used tail; under kCostAware it compares
@@ -169,10 +164,10 @@ class CacheShard {
   // heuristic, never a correctness question.
   std::vector<VictimPreview> PreviewVictims(size_t bytes_needed) const;
 
-  // Per-function hit counters (attributed at touch-buffer drain time from the interned
-  // function id stored on each version), merged by the frontend into FunctionStats(). Drains
-  // pending touches so the profile is current as of this call.
-  std::unordered_map<std::string, uint64_t> FunctionHits();
+  // Per-function hit counters indexed by FunctionTable id (attributed at touch-buffer drain
+  // time from the id stored on each version), merged by the frontend into FunctionStats().
+  // Drains pending touches so the profile is current as of this call.
+  std::vector<uint64_t> FunctionHits();
 
   // Write-intent ownership (optimistic read-write transactions). AcquireIntent is
   // check-and-acquire under the exclusive lock: Ok when the key was free or already held by
@@ -254,7 +249,7 @@ class CacheShard {
     std::shared_ptr<const ResidentBlock> block;      // destroyed only with the version (EBR)
     size_t bytes = 0;
     uint64_t fill_cost_us = 0;
-    uint32_t fn_id = 0;       // interned CacheKeyFunction; 0 = none
+    uint32_t fn_id = 0;       // FunctionTable id of CacheKeyFunction; 0 = none
     KeySlot* owner = nullptr; // the slot whose array publishes this version
     uint64_t insert_seq = 0;  // this shard's insertion ordinal: orders a message's truncations
     WallClock inserted_wallclock = 0;  // TTL learning: residency start
@@ -416,11 +411,11 @@ class CacheShard {
   // straggler's torn slot) are discarded unread.
   void DrainTouchesLocked();
   void SweepStaleLocked();
-  // TTL-expiry pass (cost-aware only): demotes still-valid versions that outlived
-  // slack x their function's learned lifetime from the score index to the stale list.
-  // Validity is untouched — this is an eviction preference, so the no-resurrect/no-widen
-  // property holds trivially across demotions.
-  void DemoteTtlExpiredLocked(const LifetimeSnapshot& learned);
+  // TTL-expiry pass (cost-aware only): demotes still-valid versions older than their
+  // function's limit in `ttl_limits` (slack x learned lifetime, by id) from the score index to
+  // the stale list. Validity is untouched — this is an eviction preference, so the
+  // no-resurrect/no-widen property holds trivially across demotions.
+  void DemoteTtlExpiredLocked(const std::vector<double>& ttl_limits);
   void RecordHistoryLocked(const InvalidationMessage& msg);
   // Earliest invalidation affecting `tags` with timestamp > after; kTimestampInfinity if none.
   Timestamp EarliestInvalidationAfterLocked(const std::vector<InvalidationTag>& tags,
@@ -441,8 +436,7 @@ class CacheShard {
   std::atomic<size_t>* const global_bytes_;    // shared across the node's shards
   std::atomic<uint64_t>* const touch_ticker_;  // shared monotone LRU clock
   std::atomic<double>* const aging_floor_;     // shared GreedyDual aging value (max evicted score)
-  FunctionAdvisor* const advisor_;             // node-global TTL learning + hint snapshots
-  FunctionInterner* const interner_;           // node-global function-name interning
+  FunctionTable* const functions_;             // node-global per-function state (TTL learning)
   EbrDomain* const domain_;                    // process-global reclamation domain
 
   // Writers (insert, invalidation, sweep, eviction, flush, reset) take the exclusive side;

@@ -66,9 +66,8 @@ class CacheableFunction {
 
   Ret operator()(const Args&... args) const {
     // Outside a read-only transaction (or in no-cache mode) the implementation runs directly:
-    // read/write transactions bypass the cache entirely (§2.2) — unless the application opted
-    // into RW cache reads, in which case values valid at the RW snapshot may be served (with
-    // the documented own-writes anomaly), but results are never stored.
+    // plain read/write transactions bypass the cache entirely (§2.2). Optimistic read-write
+    // transactions read through it, validated at commit, but never store.
     if (client_ == nullptr || !client_->ShouldUseCache()) {
       if (client_ != nullptr) {
         if (client_->in_optimistic_rw()) {
@@ -81,18 +80,6 @@ class CacheableFunction {
           client_->CountCacheableCall();
           auto hit = client_->ReadInTx(MakeCacheKey(name_, args...), &name_);
           if (hit.ok()) {
-            auto decoded = DeserializeFromString<Ret>(*hit.value());
-            if (decoded.ok()) {
-              return decoded.take();
-            }
-          }
-          return fn_(args...);
-        }
-        if (client_->ShouldTryRwCacheRead()) {
-          client_->CountCacheableCall();
-          auto hit = client_->RwCacheLookup(MakeCacheKey(name_, args...), &name_);
-          if (hit.ok()) {
-            // Deserialize straight out of the zero-copy alias of the cache-resident buffer.
             auto decoded = DeserializeFromString<Ret>(*hit.value());
             if (decoded.ok()) {
               return decoded.take();

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <thread>
 
+#include "src/core/fill_cost.h"
+
 namespace txcache {
 
 TxCacheClient::TxCacheClient(Database* db, Pincushion* pincushion, CacheCluster* cache,
@@ -671,31 +673,6 @@ std::vector<Result<TxCacheClient::CachedValue>> TxCacheClient::CacheMultiLookup(
   return out;
 }
 
-Result<TxCacheClient::CachedValue> TxCacheClient::RwCacheLookup(const std::string& key,
-                                                                const std::string* function) {
-  assert(ShouldTryRwCacheRead());
-  auto snap_or = db_->SnapshotOf(*db_txn_);
-  if (!snap_or.ok()) {
-    return snap_or.status();
-  }
-  LookupRequest req;
-  req.key = key;
-  req.key_hash = Fnv1a(key);
-  req.bounds_lo = snap_or.value();
-  req.bounds_hi = snap_or.value();
-  req.fresh_lo = snap_or.value();
-  LookupResponse resp = cache_->Lookup(req);
-  ObserveRingEpoch(resp.ring_epoch);
-  ObserveHints(key, function, resp.served_by, resp.hints);
-  if (!resp.hit) {
-    ++stats_.cache_misses;
-    return Status::NotFound("cache miss");
-  }
-  ++stats_.cache_hits;
-  stats_.saved_recompute_cost_us += resp.fill_cost_us;
-  return std::move(resp.value);
-}
-
 void TxCacheClient::FrameBegin() {
   Frame frame;
   frame.started_wall = clock_->Now();
@@ -723,9 +700,9 @@ FrameOutcome TxCacheClient::FrameEnd() {
       stats_.db_index_probes.load(std::memory_order_relaxed) - frame.start_db_probes;
   outcome.fill_cost_us =
       static_cast<uint64_t>(std::max<WallClock>(elapsed, 0)) +
-      dq * static_cast<uint64_t>(options_.fill_cost_per_query) +
-      dt * static_cast<uint64_t>(options_.fill_cost_per_tuple) +
-      dp * static_cast<uint64_t>(options_.fill_cost_per_probe);
+      dq * static_cast<uint64_t>(kFillCostPerQuery) +
+      dt * static_cast<uint64_t>(kFillCostPerTuple) +
+      dp * static_cast<uint64_t>(kFillCostPerProbe);
   if (chosen_ts_.has_value()) {
     outcome.computed_at = *chosen_ts_;
   } else if (pin_set_.has_pins()) {

@@ -267,18 +267,6 @@ class TxCacheClient {
     // if the newest pin in the pin set is older than this; otherwise reuse the newest pin.
     WallClock new_pin_threshold = Seconds(5);
     ClientMode mode = ClientMode::kConsistent;
-    // §2.2 extension (off by default): let read/write transactions *read* cached values that
-    // were valid at their snapshot. Opting in accepts the documented anomaly: a cacheable call
-    // may return a value that predates the transaction's own uncommitted writes. Results of
-    // cacheable functions executed inside RW transactions are still never stored.
-    bool allow_rw_cache_reads = false;
-    // Fill-cost weights: a frame's cost is its wall-clock elapsed time plus these per-unit
-    // charges for the database work it performed. The wall term captures real deployments; the
-    // weighted term keeps costs meaningful under the simulator, whose virtual clock does not
-    // advance while application code runs. Defaults mirror sim::CostModel.
-    WallClock fill_cost_per_query = Millis(0.12);
-    WallClock fill_cost_per_tuple = Millis(0.004);
-    WallClock fill_cost_per_probe = Millis(0.015);
 
     // --- optimistic read-write transactions (BeginRw / RunRwTransaction) ---
     // Abort-and-retry budget of RunRwTransaction: after this many conflict aborts the last
@@ -381,10 +369,6 @@ class TxCacheClient {
 
   // --- cacheable-call plumbing (used by CacheableFunction; not application-facing) ---
   bool ShouldUseCache() const { return state_ == TxnState::kReadOnly && options_.mode != ClientMode::kNoCache; }
-  bool ShouldTryRwCacheRead() const {
-    return state_ == TxnState::kReadWrite && options_.allow_rw_cache_reads &&
-           options_.mode != ClientMode::kNoCache;
-  }
   // `function` is the MAKE-CACHEABLE name the key was built from, when the caller has it
   // (CacheableFunction does): advisory hints on the response are then recorded without
   // re-parsing the key's function prefix. Null: the prefix is parsed on demand.
@@ -401,10 +385,6 @@ class TxCacheClient {
   // is unaffected; only the hit rate can differ marginally.
   std::vector<Result<CachedValue>> CacheMultiLookup(const std::vector<std::string>& keys,
                                                     const std::string* function = nullptr);
-  // Lookup restricted to values valid at the read/write transaction's snapshot (§2.2
-  // extension). Never narrows any pin set; never inserts.
-  Result<CachedValue> RwCacheLookup(const std::string& key,
-                                    const std::string* function = nullptr);
   void FrameBegin();
   FrameOutcome FrameEnd();
   void FrameAbandon();

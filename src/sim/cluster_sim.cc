@@ -77,11 +77,6 @@ Result<SimResult> ClusterSim::Run() {
   TxCacheClient::Options client_options;
   client_options.default_staleness = config_.staleness;
   client_options.mode = config_.mode;
-  // Fill costs shipped with inserts must be priced in the same currency the simulator charges,
-  // so the cost-aware policy optimizes exactly the resource the bottleneck is measured in.
-  client_options.fill_cost_per_query = config_.cost.db_query_base;
-  client_options.fill_cost_per_tuple = config_.cost.db_per_tuple;
-  client_options.fill_cost_per_probe = config_.cost.db_per_probe;
   if (config_.optimistic_writes) {
     // Backoff must cost simulated time, not wall time: the hook accumulates the delay and
     // RunClientInteraction adds it to the interaction's response.

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 
+#include "src/core/fill_cost.h"
 #include "src/util/types.h"
 
 namespace txcache::sim {
@@ -19,9 +20,9 @@ struct CostModel {
 
   // Database server.
   WallClock db_begin = Millis(0.02);        // BEGIN/snapshot setup
-  WallClock db_query_base = Millis(0.12);   // parse/plan/executor setup per query
-  WallClock db_per_tuple = Millis(0.004);   // per heap version examined
-  WallClock db_per_probe = Millis(0.015);   // per index descent
+  WallClock db_query_base = kFillCostPerQuery;  // parse/plan/executor setup per query
+  WallClock db_per_tuple = kFillCostPerTuple;   // per heap version examined
+  WallClock db_per_probe = kFillCostPerProbe;   // per index descent
   WallClock db_per_write = Millis(0.15);    // per INSERT/UPDATE/DELETE statement
   WallClock db_commit = Millis(0.25);       // commit incl. invalidation publication
 

@@ -433,6 +433,115 @@ TEST(CacheAdmissionSizing, LearnedTtlDemotesOverdueEntriesToStaleFirstEviction) 
       << "stable entry outlives the TTL-demoted one";
 }
 
+TEST(CacheAdmissionSizing, LearnedLifetimeOfZeroStillDemotes) {
+  // A ManualClock that does not move between insert and truncation teaches a lifetime of
+  // exactly 0 µs. That is a learned value, not "not learned yet": any entry of the function
+  // older than 0 µs has outlived it.
+  ManualClock clock;
+  clock.Set(Seconds(100));
+  CacheServer::Options options = OneShardOptions(64 * 1024);
+  options.lifetime_min_samples = 1;
+  options.sweep_interval_ops = 1;  // every mutation runs the sweep (and the TTL pass)
+  options.admission_min_samples = 1'000'000;
+  CacheServer server("ttl-zero", &clock, options);
+  auto tag = InvalidationTag::Concrete("t", "i", "k");
+
+  InsertRequest first = StillValid(FnKey("instant", 1), 500, 5'000, {tag});
+  first.interval.lower = 11;
+  first.computed_at = 11;
+  ASSERT_TRUE(server.Insert(first).ok());
+  InvalidationMessage msg;
+  msg.seqno = 1;
+  msg.ts = 12;
+  msg.wallclock = clock.Now();
+  msg.tags = {tag};
+  server.Deliver(msg);  // truncated at the instant it was inserted: learned lifetime 0
+  std::vector<FunctionStatsEntry> stats = server.FunctionStats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].truncations, 1u);
+  EXPECT_EQ(stats[0].ewma_lifetime_us, 0.0);
+
+  InsertRequest second = StillValid(FnKey("instant", 2), 500, 5'000, {tag});
+  second.interval.lower = 13;
+  second.computed_at = 13;
+  ASSERT_TRUE(server.Insert(second).ok());
+  EXPECT_EQ(server.stats().ttl_demotions, 0u) << "an entry aged 0 µs has not outlived 0 µs";
+  clock.Advance(1);
+  ASSERT_TRUE(server.Insert(StillValid(FnKey("other", 1), 500, 5'000)).ok());
+  EXPECT_EQ(server.stats().ttl_demotions, 1u);
+}
+
+TEST(CacheAdmissionSizing, FunctionsOverTheProfileCapAreNeitherProfiledNorLearned) {
+  ManualClock clock;
+  clock.Set(Seconds(100));
+  CacheServer::Options options = OneShardOptions(8 * 1024);
+  options.max_function_profiles = 1;
+  options.lifetime_min_samples = 1;
+  options.sweep_interval_ops = 1;
+  options.admission_min_samples = 0;
+  CacheServer server("cap", &clock, options);
+  auto tag_first = InvalidationTag::Concrete("t", "i", "first");
+  auto tag_second = InvalidationTag::Concrete("t", "i", "second");
+
+  // The first function seen takes the only profile; the second is over the cap.
+  std::shared_ptr<const AdvisoryHints> hints;
+  InsertRequest first = StillValid(FnKey("first", 0), 600, 1'000, {tag_first});
+  first.interval.lower = 11;
+  first.computed_at = 11;
+  ASSERT_TRUE(server.Insert(first, &hints).ok());
+  EXPECT_NE(hints, nullptr);
+  InsertRequest second = StillValid(FnKey("second", 0), 600, 1'000, {tag_second});
+  second.interval.lower = 11;
+  second.computed_at = 11;
+  ASSERT_TRUE(server.Insert(second, &hints).ok());
+  EXPECT_EQ(hints, nullptr) << "an unprofiled function publishes no hints";
+  ASSERT_TRUE(server.Lookup(Probe(FnKey("first", 0))).hit);
+  ASSERT_TRUE(server.Lookup(Probe(FnKey("second", 0))).hit);
+
+  // Both are truncated 100 ms after insert; only the first learns the lifetime.
+  clock.Advance(Millis(100));
+  InvalidationMessage msg;
+  msg.seqno = 1;
+  msg.ts = 12;
+  msg.wallclock = clock.Now();
+  msg.tags = {tag_first, tag_second};
+  server.Deliver(msg);
+
+  // Fresh entries of both outlive 1.5 x 100 ms; only the first function's is demoted.
+  for (const char* fn : {"first", "second"}) {
+    InsertRequest req = StillValid(FnKey(fn, 1), 600, 1'000);
+    req.interval.lower = 13;
+    req.computed_at = 13;
+    ASSERT_TRUE(server.Insert(req).ok());
+  }
+  clock.Advance(Seconds(1));
+  ASSERT_TRUE(server.Insert(StillValid(FnKey("second", 2), 600, 1'000)).ok());
+  EXPECT_EQ(server.stats().ttl_demotions, 1u) << "only the profiled function is TTL-learned";
+
+  // Capacity pressure with unhit entries drives the first function's benefit-per-byte below
+  // the watermark until it is declined; the second, unprofiled, is never declined.
+  bool first_declined = false;
+  for (uint64_t i = 0; i < 500 && !first_declined; ++i) {
+    first_declined = server.Insert(StillValid(FnKey("first", 100 + i), 600, 1'000)).code() ==
+                     StatusCode::kDeclined;
+  }
+  EXPECT_TRUE(first_declined);
+  EXPECT_GT(server.aging_floor(), 0.0);
+  for (uint64_t i = 0; i < 200; ++i) {
+    EXPECT_NE(server.Insert(StillValid(FnKey("second", 100 + i), 600, 1'000)).code(),
+              StatusCode::kDeclined);
+  }
+
+  std::vector<FunctionStatsEntry> stats = server.FunctionStats();
+  ASSERT_EQ(stats.size(), 1u) << "the unprofiled function has no stats, hits included";
+  EXPECT_EQ(stats[0].function, "first");
+  EXPECT_GT(stats[0].fills, 1u);
+  EXPECT_GT(stats[0].admission_rejects, 0u);
+  EXPECT_EQ(stats[0].hits, 1u);
+  EXPECT_EQ(stats[0].truncations, 1u);
+  EXPECT_NEAR(stats[0].ewma_lifetime_us, 100'000.0, 1.0);
+}
+
 TEST(CacheAdmissionSizing, AdvisoryHintsFlowOnInsertAndLookupResponses) {
   ManualClock clock;
   clock.Set(Seconds(100));
