@@ -2,9 +2,9 @@
 // max_entry_fraction guard, the displacement-cost comparison (accept and decline sides, free
 // stale bytes), multi-MB values round-tripping through MultiLookup, a model-checked oracle
 // that size-aware admission never evicts a victim set whose summed benefit exceeds the
-// admitted entry's, learned-lifetime demotion driving stale-first eviction, and the advisory
-// hints fed back on Lookup/Insert responses. Everything runs on a fixed ManualClock with
-// fixed seeds.
+// admitted entry's, learned-lifetime demotion driving stale-first eviction (including a learned
+// lifetime of exactly 0), the max_function_profiles cap, and the advisory hints fed back on
+// Lookup/Insert responses. Everything runs on a fixed ManualClock with fixed seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
