@@ -68,6 +68,7 @@ class CacheCluster {
     if (auto_keys != 0 && server != nullptr) {
       AttachReplicationHook(server, auto_keys);
     }
+    ClearIntentsAfterRingChange(nullptr);
     return true;
   }
 
@@ -89,6 +90,7 @@ class CacheCluster {
       // cluster, and its Deliver tail must not call back into a dead fleet.
       departed->local_server()->set_replication_hook(nullptr);
     }
+    ClearIntentsAfterRingChange(std::move(departed));
     return true;
   }
 
@@ -284,6 +286,7 @@ class CacheCluster {
   // discipline (and epoch stamp) as Lookup. An unroutable key or a down/joining owner answers
   // kUnavailable, which callers treat as vacuous success: a node serving no reads protects
   // nothing, and its intents were dropped wholesale anyway (see CacheServer::Crash/Join).
+  // Every AddNode/RemoveNode drops every node's intents too, since releases follow the ring.
   // Intents deliberately do NOT fail over to replicas — the intent guards the PRIMARY's
   // copy, the one an in-transaction reader would hit; replicas learn of the write from the
   // invalidation stream like everyone else.
@@ -484,6 +487,28 @@ class CacheCluster {
   }
 
  private:
+  // A ring change re-routes keys, and a release follows the ring: an intent held by a key's
+  // old owner (or by a departed node) could never be released, and would block writers again
+  // if the key routed back. Intents are advisory — serializability comes from commit-time
+  // validation — so every node drops them wholesale, as on Crash/Join/Flush.
+  void ClearIntentsAfterRingChange(std::shared_ptr<CacheTransport> departed) {
+    std::vector<std::shared_ptr<CacheTransport>> nodes;
+    if (departed != nullptr) {
+      nodes.push_back(std::move(departed));
+    }
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      for (const auto& [name, transport] : nodes_) {
+        nodes.push_back(transport);
+      }
+    }
+    for (const auto& transport : nodes) {
+      if (transport->local_server() != nullptr) {
+        transport->local_server()->ClearIntents();
+      }
+    }
+  }
+
   IntentResponse RouteIntent(const IntentRequest& req, bool acquire) const {
     std::shared_ptr<CacheTransport> node;
     uint64_t epoch = 0;

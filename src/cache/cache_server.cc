@@ -56,12 +56,14 @@ CacheServer::CacheServer(std::string name, const Clock* clock, Options options)
       clock_(clock),
       options_(options),
       functions_(options),
+      history_(options.history_retention),
       sequencer_([this](const InvalidationMessage& msg) { ApplySequenced(msg); }) {
   const size_t n = std::max<size_t>(options_.num_shards, 1);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<CacheShard>(clock_, options_, &bytes_used_,
-                                                   &touch_ticker_, &aging_floor_, &functions_));
+                                                   &touch_ticker_, &aging_floor_, &functions_,
+                                                   &history_));
   }
 }
 
@@ -143,14 +145,15 @@ Status CacheServer::Join(InvalidationBus* bus) {
       // back to our position. Discard everything rather than risk serving an entry whose
       // invalidation fell in the gap, and adopt the live position (draining any
       // live-delivered messages the reorder buffer already holds at/after it). Raising the
-      // shards' history floor makes later inserts computed inside the gap truncate
+      // node's history floor makes later inserts computed inside the gap truncate
       // conservatively instead of claiming still-valid (the no-stale-read analogue of the
       // snapshot-import caveat).
       Flush();
       sequencer_.AdoptPosition(target);
       const Timestamp adopted_ts = bus->last_published_ts();
+      history_.RaiseFloor(adopted_ts);
       for (auto& shard : shards_) {
-        shard->AdoptStreamPosition(adopted_ts, /*raise_history_floor=*/true);
+        shard->AdoptStreamPosition(adopted_ts);
       }
       join_flushes_.fetch_add(1, std::memory_order_relaxed);
     } else if (replay.ok()) {
@@ -203,9 +206,10 @@ bool CacheServer::TryRestoreFromSnapshot(InvalidationBus* bus, uint64_t target,
       // Adopt the live position and raise the history floor, exactly like the flush path.
       const Timestamp adopted_ts = bus->last_published_ts();
       sequencer_.AdoptPosition(target);
+      history_.RaiseFloor(adopted_ts);
       for (auto& shard : shards_) {
         shard->CloseAllStillValid(snap_last_ts);
-        shard->AdoptStreamPosition(adopted_ts, /*raise_history_floor=*/true);
+        shard->AdoptStreamPosition(adopted_ts);
       }
     }
   }
@@ -510,6 +514,9 @@ void CacheServer::Deliver(const InvalidationMessage& msg) {
 
 void CacheServer::ApplySequenced(const InvalidationMessage& msg) {
   invalidation_messages_.fetch_add(1, std::memory_order_relaxed);
+  // Record BEFORE the fan-out: an insert whose replay misses this message still holds its
+  // shard's lock, so its version is registered before the message reaches that shard.
+  history_.Record(msg);
   for (auto& shard : shards_) {
     bool due = false;
     shard->ApplyInvalidation(msg, &due);

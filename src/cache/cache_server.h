@@ -8,11 +8,12 @@
 //
 // Node-internal architecture (see docs/architecture.md): keys are partitioned over
 // Options::num_shards CacheShards by hash(key) % N; each shard owns its version chains, tag
-// index, LRU slice, invalidation history and stats behind its own mutex, so operations on
-// different shards never contend. The invalidation stream is sequenced once per node by a
-// StreamSequencer (duplicates dropped, gaps held in a reorder buffer) and fanned out to every
-// shard in strict seqno order, preserving the §4.2 ordering and insert/invalidate-race
-// guarantees per shard. Eviction is node-global: shards share an atomic byte counter and a
+// index, LRU slice and stats behind its own mutex, so operations on different shards never
+// contend. The invalidation stream is sequenced once per node by a StreamSequencer
+// (duplicates dropped, gaps held in a reorder buffer), recorded once in the node's
+// InvalidationHistory, and then fanned out to every shard in strict seqno order. Inserts on
+// every shard replay that one history under their own shard lock; recording before the
+// fan-out is what closes the §4.2 insert/invalidate race per shard. Eviction is node-global: shards share an atomic byte counter and a
 // monotone touch tick, and the frontend evicts the globally least-recently-used version, so
 // capacity behavior matches the old single-mutex server.
 //
@@ -26,7 +27,7 @@
 // node re-subscribes, reads the stream's current position as its join target, and either
 // catch-up-replays the missed messages from the bus's bounded history (cached data survives,
 // properly truncated) or — when the history no longer reaches back — flushes everything and
-// adopts the live position (raising the shards' history floor so late inserts computed inside
+// adopts the live position (raising the node's history floor so late inserts computed inside
 // the gap are conservatively truncated). It serves only once its sequencer reaches the join
 // target, so a rejoined node can never answer with state that missed an invalidation.
 #ifndef SRC_CACHE_CACHE_SERVER_H_
@@ -45,6 +46,7 @@
 #include "src/cache/cache_shard.h"
 #include "src/cache/cache_types.h"
 #include "src/cache/function_table.h"
+#include "src/cache/invalidation_history.h"
 #include "src/cache/snapshot_store.h"
 #include "src/util/clock.h"
 #include "src/util/status.h"
@@ -149,9 +151,10 @@ class CacheServer : public InvalidationSubscriber {
   // Check-and-acquire / release of the advisory per-key write intent (see IntentRequest).
   // Both are gated by the serving barrier: a node that is down or joining answers
   // kUnavailable, which callers treat as vacuous success — a node serving no reads protects
-  // nothing. Intents never survive Crash(), Join() or Flush(): they are dropped wholesale
-  // (CacheStats::intents_cleared), which is safe because serializability comes from the
-  // database's commit-time read validation, not from the intents.
+  // nothing. Intents never survive Crash(), Join(), Flush() or a CacheCluster ring change:
+  // they are dropped wholesale (CacheStats::intents_cleared), which is safe because
+  // serializability comes from the database's commit-time read validation, not from the
+  // intents.
   IntentResponse AcquireIntent(const IntentRequest& req);
   IntentResponse ReleaseIntent(const IntentRequest& req);
   // Drops every intent on the node. Returns how many were held.
@@ -204,8 +207,8 @@ class CacheServer : public InvalidationSubscriber {
 
  private:
   CacheShard* ShardForHash(uint64_t key_hash) const;
-  // Applies one in-order message: fan out to every shard (strict order is guaranteed by the
-  // sequencer serializing this sink).
+  // Applies one in-order message: record it in history_, then fan out to every shard (strict
+  // order is guaranteed by the sequencer serializing this sink).
   void ApplySequenced(const InvalidationMessage& msg);
   void SweepAllShards();
   // Capacity eviction until the node fits its byte budget. Under kLru: the globally
@@ -247,6 +250,9 @@ class CacheServer : public InvalidationSubscriber {
   // Per-function profiles, TTL learning and hints, shared with the shards (which store each
   // version's function id). Declared before shards_: they capture a pointer.
   FunctionTable functions_;
+  // The one insert-time replay history, shared with the shards. Written by the sequencer sink
+  // (before each fan-out) and the join paths (floor raises), read by shard inserts.
+  InvalidationHistory history_;
   std::vector<std::unique_ptr<CacheShard>> shards_;
   StreamSequencer sequencer_;
 

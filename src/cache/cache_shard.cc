@@ -22,18 +22,6 @@ size_t TagBytes(const std::vector<InvalidationTag>& tags) {
   return n;
 }
 
-void InsertSorted(std::vector<Timestamp>& history, Timestamp ts) {
-  auto it = std::lower_bound(history.begin(), history.end(), ts);
-  if (it == history.end() || *it != ts) {
-    history.insert(it, ts);
-  }
-}
-
-Timestamp FirstAfter(const std::vector<Timestamp>& history, Timestamp after) {
-  auto it = std::upper_bound(history.begin(), history.end(), after);
-  return it == history.end() ? kTimestampInfinity : *it;
-}
-
 // Stable per-thread stripe seed; each thread maps to one touch-buffer / stats stripe via
 // seed % stripe_count, so concurrent hitters spread over stripes without coordination.
 uint32_t ThreadStripeSeed() {
@@ -88,13 +76,15 @@ uint64_t NextTick(std::atomic<uint64_t>* ticker) {
 
 CacheShard::CacheShard(const Clock* clock, const CacheOptions& options,
                        std::atomic<size_t>* global_bytes, std::atomic<uint64_t>* touch_ticker,
-                       std::atomic<double>* aging_floor, FunctionTable* functions)
+                       std::atomic<double>* aging_floor, FunctionTable* functions,
+                       const InvalidationHistory* history)
     : clock_(clock),
       options_(options),
       global_bytes_(global_bytes),
       touch_ticker_(touch_ticker),
       aging_floor_(aging_floor),
       functions_(functions),
+      history_(history),
       domain_(&EbrDomain::Global()),
       table_(domain_),
       stripe_count_(DefaultStripes(options)),
@@ -563,27 +553,21 @@ Status CacheShard::Insert(const InsertRequest& req, uint64_t key_hash, uint32_t 
 
   if (still_valid) {
     // Replay invalidations that arrived before this insert (§4.2): anything later than the
-    // snapshot the value was computed at may have changed the result.
-    if (known_through < history_floor_) {
-      // History no longer covers the gap; conservatively bound validity at what the database
-      // vouched for rather than risking a stale still-valid entry.
-      interval.upper = known_through + 1;
+    // snapshot the value was computed at may have changed the result. Read under this shard's
+    // lock: a message the history does not hold yet has not reached this shard either, and
+    // truncates the version registered below when it does. Below the history's floor the
+    // answer is known_through + 1 — validity bounded at what the database vouched for.
+    const Timestamp first = history_->FirstInvalidationAfter(req.tags, known_through);
+    if (first != kTimestampInfinity) {
+      interval.upper = first;
       still_valid = false;
       invalidated_at = clock_->Now();
       ++stats_.insert_time_truncations;
-    } else {
-      Timestamp first = EarliestInvalidationAfterLocked(req.tags, known_through);
-      if (first != kTimestampInfinity) {
-        interval.upper = first;
-        still_valid = false;
-        invalidated_at = clock_->Now();
-        ++stats_.insert_time_truncations;
-        if (interval.empty()) {
-          // Invalidated at or before it became valid; nothing worth storing.
-          ++stats_.inserts;
-          *sweep_due = CountOpLocked();
-          return Status::Ok();
-        }
+      if (interval.empty()) {
+        // Invalidated at or before it became valid; nothing worth storing.
+        ++stats_.inserts;
+        *sweep_due = CountOpLocked();
+        return Status::Ok();
       }
     }
   }
@@ -703,7 +687,6 @@ void CacheShard::ApplyInvalidation(const InvalidationMessage& msg, bool* sweep_d
   for (Version* v : affected) {
     TruncateLocked(v, msg.ts, now);
   }
-  RecordHistoryLocked(msg);
   // Published AFTER the truncations (release): a reader whose snapshot includes this
   // timestamp is guaranteed to see every truncation the message caused.
   const Timestamp cur = last_invalidation_ts_.load(std::memory_order_relaxed);
@@ -991,60 +974,6 @@ void CacheShard::SweepStaleLocked() {
   }
 }
 
-void CacheShard::RecordHistoryLocked(const InvalidationMessage& msg) {
-  for (const InvalidationTag& tag : msg.tags) {
-    if (tag.wildcard) {
-      InsertSorted(table_wildcard_history_[tag.table], msg.ts);
-    } else {
-      InsertSorted(tag_history_[tag], msg.ts);
-    }
-    InsertSorted(table_any_history_[tag.table], msg.ts);
-  }
-  // Prune old history so memory stays bounded.
-  if (msg.ts > options_.history_retention &&
-      msg.ts - options_.history_retention > history_floor_) {
-    history_floor_ = msg.ts - options_.history_retention;
-    auto prune = [floor = history_floor_](auto& map) {
-      for (auto it = map.begin(); it != map.end();) {
-        auto& vec = it->second;
-        vec.erase(vec.begin(), std::lower_bound(vec.begin(), vec.end(), floor));
-        if (vec.empty()) {
-          it = map.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
-    prune(tag_history_);
-    prune(table_wildcard_history_);
-    prune(table_any_history_);
-  }
-}
-
-Timestamp CacheShard::EarliestInvalidationAfterLocked(const std::vector<InvalidationTag>& tags,
-                                                      Timestamp after) const {
-  Timestamp earliest = kTimestampInfinity;
-  for (const InvalidationTag& tag : tags) {
-    if (tag.wildcard) {
-      // An entry depending on the whole table is invalidated by any message touching it.
-      auto it = table_any_history_.find(tag.table);
-      if (it != table_any_history_.end()) {
-        earliest = std::min(earliest, FirstAfter(it->second, after));
-      }
-    } else {
-      auto it = tag_history_.find(tag);
-      if (it != tag_history_.end()) {
-        earliest = std::min(earliest, FirstAfter(it->second, after));
-      }
-      auto wit = table_wildcard_history_.find(tag.table);
-      if (wit != table_wildcard_history_.end()) {
-        earliest = std::min(earliest, FirstAfter(wit->second, after));
-      }
-    }
-  }
-  return earliest;
-}
-
 std::pair<uint64_t, std::string> CacheShard::ExportEntries() const {
   std::shared_lock<InstrumentedSharedMutex> lock(mu_);
   Writer w;
@@ -1075,16 +1004,10 @@ std::pair<uint64_t, std::string> CacheShard::ExportEntries() const {
   return {version_count_, w.Take()};
 }
 
-void CacheShard::AdoptStreamPosition(Timestamp last_invalidation_ts, bool raise_history_floor) {
+void CacheShard::AdoptStreamPosition(Timestamp last_invalidation_ts) {
   std::unique_lock<InstrumentedSharedMutex> lock(mu_);
   const Timestamp cur = last_invalidation_ts_.load(std::memory_order_relaxed);
   last_invalidation_ts_.store(std::max(cur, last_invalidation_ts), std::memory_order_release);
-  if (raise_history_floor && last_invalidation_ts > history_floor_) {
-    // The messages up to the adopted position were never applied here, so the retained
-    // history has a gap. Raising the floor makes Insert's replay path bound any still-valid
-    // claim computed before the gap at known_through + 1 instead of trusting it.
-    history_floor_ = last_invalidation_ts;
-  }
 }
 
 void CacheShard::CloseAllStillValid(Timestamp through) {

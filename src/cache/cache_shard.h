@@ -1,9 +1,10 @@
 // One lock-striped partition of a cache node (paper §4, sharded).
 //
 // A shard owns every mutable structure for the keys that hash to it: the version chains, the
-// still-valid tag index, its slice of the LRU order, the per-tag invalidation history used for
-// insert-time replay, and its own stats counters. Mutations (insert, invalidation, eviction,
-// sweep, flush) serialize on the shard's exclusive lock, exactly as before.
+// still-valid tag index, its slice of the LRU order and its own stats counters. Mutations
+// (insert, invalidation, eviction, sweep, flush) serialize on the shard's exclusive lock. The
+// invalidation history that insert-time replay reads is the node's (InvalidationHistory): a
+// shard only reads it, under its own lock.
 //
 // Read fast path (docs/architecture.md §"Memory reclamation and the flat shard table"): a
 // zero-copy lookup holds NO shard lock at all. It enters an epoch-based-reclamation critical
@@ -31,10 +32,12 @@
 // shard's live-version set before dereferencing, making stale records inert.
 //
 // Cross-shard concerns live in the CacheServer frontend:
-//   * the invalidation stream is sequenced once per node (StreamSequencer) and fanned out to
-//     every shard in strict seqno order, so each shard observes the same totally ordered
-//     stream the paper's single-structure node does — the §4.2 insert/invalidate-race argument
-//     then holds per shard verbatim;
+//   * the invalidation stream is sequenced once per node (StreamSequencer), recorded once in
+//     the node's InvalidationHistory, and only then fanned out to every shard in strict seqno
+//     order. An insert holds its shard's lock while it replays the history and registers its
+//     version, so a message is either already in the history it read or reaches the shard
+//     after the version is registered and truncates it — the §4.2 insert/invalidate race
+//     closes per shard against one node-wide history;
 //   * eviction is node-global: shards share an atomic byte counter and a monotonically
 //     increasing touch tick, and the frontend evicts from whichever shard holds the globally
 //     least-recently-used tail, preserving the monolithic server's LRU behavior;
@@ -61,6 +64,7 @@
 #include "src/cache/cache_types.h"
 #include "src/cache/flat_table.h"
 #include "src/cache/function_table.h"
+#include "src/cache/invalidation_history.h"
 #include "src/util/clock.h"
 #include "src/util/ebr.h"
 #include "src/util/hash.h"
@@ -107,11 +111,13 @@ struct VictimPreview {
 
 class CacheShard {
  public:
-  // `functions` is the node-wide per-function table (shared across shards so ids agree); it
-  // must outlive the shard.
+  // `functions` is the node-wide per-function table (shared across shards so ids agree) and
+  // `history` the node's invalidation history, read by insert-time replay; both must outlive
+  // the shard.
   CacheShard(const Clock* clock, const CacheOptions& options,
              std::atomic<size_t>* global_bytes, std::atomic<uint64_t>* touch_ticker,
-             std::atomic<double>* aging_floor, FunctionTable* functions);
+             std::atomic<double>* aging_floor, FunctionTable* functions,
+             const InvalidationHistory* history);
   ~CacheShard();
 
   // Byte cost a version created from `req` would be charged against the node budget. Public so
@@ -181,16 +187,14 @@ class CacheShard {
   void ReleaseIntent(const IntentRequest& req, uint64_t key_hash);
   size_t ClearIntents();
 
-  void Flush();  // drops cached data; keeps invalidation history and stream position
+  void Flush();  // drops cached data; keeps the stream position
 
   // Snapshot/rejoin support. ExportEntries serializes this shard's resident versions (same
   // record format the monolithic server used); AdoptStreamPosition fast-forwards the shard's
-  // view of the last applied invalidation timestamp (snapshot import, flush-rejoin). With
-  // raise_history_floor the per-tag invalidation history floor is lifted to the same
-  // timestamp: the shard never saw the messages in the adopted gap, so inserts computed
-  // before it must be conservatively truncated rather than trusted as still valid.
+  // view of the last applied invalidation timestamp (snapshot import, flush-rejoin). Raising
+  // the history floor over an adopted gap is the node's job (InvalidationHistory::RaiseFloor).
   std::pair<uint64_t, std::string> ExportEntries() const;
-  void AdoptStreamPosition(Timestamp last_invalidation_ts, bool raise_history_floor = false);
+  void AdoptStreamPosition(Timestamp last_invalidation_ts);
 
   // Degraded warm rejoin: closes every still-valid version at max(its known_valid_through,
   // `through`) — the data survives for reads pinned inside its proven validity window, but
@@ -416,10 +420,6 @@ class CacheShard {
   // the stale list. Validity is untouched — this is an eviction preference, so the
   // no-resurrect/no-widen property holds trivially across demotions.
   void DemoteTtlExpiredLocked(const std::vector<double>& ttl_limits);
-  void RecordHistoryLocked(const InvalidationMessage& msg);
-  // Earliest invalidation affecting `tags` with timestamp > after; kTimestampInfinity if none.
-  Timestamp EarliestInvalidationAfterLocked(const std::vector<InvalidationTag>& tags,
-                                            Timestamp after) const;
   bool CountOpLocked();  // bumps the mutating-op counter; true when a sweep is due
   bool cost_aware() const { return options_.policy == EvictionPolicy::kCostAware; }
   void AddToScoreIndexLocked(Version* v);
@@ -437,6 +437,7 @@ class CacheShard {
   std::atomic<uint64_t>* const touch_ticker_;  // shared monotone LRU clock
   std::atomic<double>* const aging_floor_;     // shared GreedyDual aging value (max evicted score)
   FunctionTable* const functions_;             // node-global per-function state (TTL learning)
+  const InvalidationHistory* const history_;   // node-global replay history (insert-time §4.2)
   EbrDomain* const domain_;                    // process-global reclamation domain
 
   // Writers (insert, invalidation, sweep, eviction, flush, reset) take the exclusive side;
@@ -480,14 +481,6 @@ class CacheShard {
   // pair with an equal-or-older snapshot — the claimed upper bound is never wider than what
   // a lock-holding reader would have computed. Mid-fan-out lag only narrows claims.
   std::atomic<Timestamp> last_invalidation_ts_{kTimestampZero};
-
-  // Recent invalidation history for insert-time replay: per concrete tag, per table (wildcard
-  // messages), and per table (any message touching the table). Each shard keeps the full
-  // history because an insert carrying any tag can hash to any shard.
-  std::unordered_map<InvalidationTag, std::vector<Timestamp>, TagHasher> tag_history_;
-  std::unordered_map<std::string, std::vector<Timestamp>> table_wildcard_history_;
-  std::unordered_map<std::string, std::vector<Timestamp>> table_any_history_;
-  Timestamp history_floor_ = kTimestampZero;  // history below this has been pruned
 
   // Write intents held on this shard's keys: key -> owner token. Exclusive-lock-only; the
   // per-version ownership bits mirror it for lock-free readers. Keyed by the full key (not

@@ -300,16 +300,17 @@ struct CacheOptions {
   // Versions invalidated more than this long ago (wall clock) cannot satisfy any transaction
   // and are eagerly evicted. Matches the largest staleness limit the deployment uses.
   WallClock max_staleness = Seconds(120);
-  // How many commit timestamps of per-tag invalidation history to retain for insert-time
-  // replay. Inserts whose computed_at is older than the retained floor have their still-valid
-  // claim truncated conservatively.
+  // How many commit timestamps of per-tag invalidation history the node retains for
+  // insert-time replay (one InvalidationHistory per node, shared by its shards). Inserts whose
+  // computed_at is older than the retained floor have their still-valid claim truncated
+  // conservatively.
   Timestamp history_retention = 100'000;
   // Run the staleness sweep after any one shard has seen this many mutating operations. The
   // counter is per shard (not global) so skewed traffic concentrated on one shard still
   // triggers eager eviction promptly.
   uint64_t sweep_interval_ops = 2048;
-  // Lock stripes inside one cache node. Each shard owns its own version chains, tag index,
-  // LRU list and invalidation history, keyed by hash(key) % num_shards.
+  // Lock stripes inside one cache node. Each shard owns its own version chains, tag index
+  // and LRU list, keyed by hash(key) % num_shards.
   size_t num_shards = 8;
 
   // --- read fast path ---

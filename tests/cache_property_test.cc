@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <utility>
@@ -868,8 +869,19 @@ TEST_P(CachePropertyTest, DerivedTagSqlReadsNeverGoStale) {
       << "the ad-hoc statement cache never served a hit; the run was vacuous";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CachePropertyTest,
-                         ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+// The eight historical seeds, extended to TXCACHE_PROPERTY_SEEDS=N seeds when N > 8 (a soak
+// run; the suite prints each seed's index). Unset or N <= 8 runs exactly the eight.
+std::vector<uint64_t> PropertySeeds() {
+  std::vector<uint64_t> seeds = {11, 22, 33, 44, 55, 66, 77, 88};
+  const char* env = std::getenv("TXCACHE_PROPERTY_SEEDS");
+  const uint64_t n = env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
+  for (uint64_t i = seeds.size(); i < n; ++i) {
+    seeds.push_back(11 * (i + 1));
+  }
+  return seeds;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CachePropertyTest, ::testing::ValuesIn(PropertySeeds()));
 
 }  // namespace
 }  // namespace txcache

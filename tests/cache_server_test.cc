@@ -235,6 +235,62 @@ TEST_F(CacheServerTest, LateInsertWithWildcardTagChecksAnyHistory) {
   EXPECT_EQ(resp.interval.upper, 40u);
 }
 
+TEST(CacheServerHistory, RetentionBoundsReplayAtTheFloorAndExactlyAboveIt) {
+  // A small history_retention and 4x as many messages, so the floor (newest ts - retention)
+  // moves through the whole run and expired entries are erased in batches behind it. After
+  // every message, late inserts computed at each earlier timestamp must replay exactly: below
+  // the floor the claim is cut at known_through + 1 even where an expired entry has not been
+  // erased yet; at or above it, at the first later message matching one of the insert's tags.
+  ManualClock clock;
+  CacheServer::Options options;
+  options.history_retention = 10;
+  CacheServer server("retention", &clock, options);
+  const auto hot = InvalidationTag::Concrete("users", "pk", "hot");
+  const auto cold = InvalidationTag::Concrete("users", "pk", "cold");
+  // ts % 7 == 0 carries a table wildcard, which every users-tagged entry depends on.
+  auto matches_hot = [](Timestamp ts) { return ts % 3 == 0 || ts % 7 == 0; };
+  constexpr Timestamp kLast = 40;
+  for (Timestamp ts = 1; ts <= kLast; ++ts) {
+    std::vector<InvalidationTag> tags = {ts % 3 == 0 ? hot : cold};
+    if (ts % 7 == 0) {
+      tags.push_back(InvalidationTag::Wildcard("users"));
+    }
+    server.Deliver(MakeMsg(ts, ts, tags));
+    const Timestamp floor = ts > options.history_retention ? ts - options.history_retention : 0;
+    for (Timestamp c = 1; c <= ts; ++c) {
+      // One concrete-tagged insert (hot messages and wildcards cut it) and one wildcard-tagged
+      // insert (any users message cuts it).
+      for (bool wildcard : {false, true}) {
+        Timestamp want = kTimestampInfinity;
+        if (c < floor) {
+          want = c + 1;
+        } else {
+          for (Timestamp t = c + 1; t <= ts; ++t) {
+            if (wildcard || matches_hot(t)) {
+              want = t;
+              break;
+            }
+          }
+        }
+        const std::string key = "k" + std::to_string(ts) + "-" + std::to_string(c) +
+                                (wildcard ? "w" : "");
+        ASSERT_TRUE(server
+                        .Insert(MakeInsert(key, "v", {c, kTimestampInfinity}, c,
+                                           {wildcard ? InvalidationTag::Wildcard("users") : hot}))
+                        .ok());
+        LookupResponse resp = server.Lookup(MakeLookup(key, c, c));
+        ASSERT_TRUE(resp.hit) << key;
+        if (want == kTimestampInfinity) {
+          EXPECT_TRUE(resp.still_valid) << key;
+        } else {
+          EXPECT_FALSE(resp.still_valid) << key;
+          EXPECT_EQ(resp.interval, (Interval{c, want})) << key << " floor=" << floor;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(CacheServerTest, ReorderBufferAppliesInSeqnoOrder) {
   auto tag = InvalidationTag::Concrete("users", "pk", "\x01");
   ASSERT_TRUE(server_.Insert(MakeInsert("k", "v", {5, kTimestampInfinity}, 5, {tag})).ok());

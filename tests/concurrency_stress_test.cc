@@ -3,8 +3,10 @@
 // and assert the same invariants the single-threaded property tests check.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "src/core/cacheable_function.h"
@@ -265,12 +267,13 @@ TEST(ConcurrencyStress, FullStackReadersAndWriters) {
 
 TEST(ConcurrencyStress, InvalidationRacingInsertsLeavesNoStaleStillValidVersion) {
   // The §4.2 race, cross-shard edition: writers insert still-valid versions on every shard
-  // while the invalidation stream truncates them. Whatever the interleaving, after a final
-  // fence invalidation covering every tag, no version may claim validity at the fence
-  // timestamp: a version was either truncated when its shard applied the message (it was
-  // registered first) or bounded at insert time by the shard's invalidation history (the
-  // message was recorded first). Batched MultiLookups run throughout to stress the grouped
-  // per-shard locking.
+  // while the invalidation stream truncates them. Whatever the interleaving, no version may
+  // claim validity past an invalidation of its tag later than its computed_at: a version was
+  // either truncated when its shard applied the message (it was registered first) or bounded
+  // at insert time by the node's invalidation history (the message was recorded there before
+  // the fan-out reached the shard). Checked twice: per group right after the race, then
+  // after a final fence covering every tag. Batched MultiLookups run throughout to stress the
+  // grouped per-shard locking.
   SystemClock clock;
   CacheServer::Options options;
   options.num_shards = 8;
@@ -280,38 +283,68 @@ TEST(ConcurrencyStress, InvalidationRacingInsertsLeavesNoStaleStillValidVersion)
   constexpr int kGroups = 16;
   constexpr uint64_t kMessages = 600;
   std::atomic<Timestamp> published_ts{1000};
+  std::atomic<bool> invalidator_done{false};
   std::atomic<bool> stop_readers{false};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&server, &published_ts, w] {
-      for (int i = 0; i < kKeysPerWriter; ++i) {
+    writers.emplace_back([&server, &published_ts, &invalidator_done, w] {
+      // Every key is filled once; the writers then keep refilling while the stream runs, so
+      // inserts and messages interleave however the threads are scheduled.
+      for (int i = 0; i < kKeysPerWriter || !invalidator_done.load(); ++i) {
+        const int k = i % kKeysPerWriter;
         // Claim validity from the newest commit timestamp this writer has observed — the
-        // racy approximation an application node would have.
-        const Timestamp computed_at = published_ts.load(std::memory_order_relaxed);
+        // racy approximation an application node would have — or from up to three commits
+        // before it (a value read at a slightly older snapshot), which history replay must
+        // cut whenever a matching message landed in between.
+        const Timestamp computed_at = published_ts.load(std::memory_order_relaxed) - i % 4;
         InsertRequest req;
-        req.key = "w" + std::to_string(w) + "-" + std::to_string(i);
+        req.key = "w" + std::to_string(w) + "-" + std::to_string(k);
         req.value = std::to_string(computed_at);
         req.interval = {computed_at, kTimestampInfinity};
         req.computed_at = computed_at;
-        req.tags = {InvalidationTag::Concrete("t", "i", std::to_string(i % kGroups))};
+        req.tags = {InvalidationTag::Concrete("t", "i", std::to_string(k % kGroups))};
         ASSERT_TRUE(server.Insert(req).ok());
       }
     });
   }
-  std::thread invalidator([&server, &published_ts] {
+  // Written by the invalidator only, read after it is joined.
+  std::array<Timestamp, kGroups> last_invalidated{};
+  uint64_t messages_sent = 0;
+  std::thread invalidator([&] {
     Rng rng(3);
-    for (uint64_t seq = 1; seq <= kMessages; ++seq) {
+    // Runs for kMessages and then until both truncation paths have fired, so the non-vacuity
+    // checks below cannot lose a scheduling race; the deadline fails the test instead of
+    // hanging it.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (uint64_t seq = 1;; ++seq) {
+      if (seq > kMessages) {
+        const CacheStats s = server.stats();
+        if (s.insert_time_truncations > 0 && s.invalidation_truncations > 0) {
+          break;
+        }
+        if (std::chrono::steady_clock::now() > deadline) {
+          ADD_FAILURE() << "a truncation path never fired before the deadline";
+          break;
+        }
+        std::this_thread::yield();
+      }
       InvalidationMessage msg;
       msg.seqno = seq;
       msg.ts = published_ts.fetch_add(1, std::memory_order_relaxed) + 1;
-      msg.tags = {InvalidationTag::Concrete("t", "i", std::to_string(rng.Uniform(0, 15))),
-                  InvalidationTag::Concrete("t", "i", std::to_string(rng.Uniform(0, 15)))};
+      for (int t = 0; t < 2; ++t) {
+        const int group = static_cast<int>(rng.Uniform(0, kGroups - 1));
+        msg.tags.push_back(InvalidationTag::Concrete("t", "i", std::to_string(group)));
+        last_invalidated[group] = msg.ts;
+      }
       if (rng.Bernoulli(0.1)) {
         msg.tags.push_back(InvalidationTag::Wildcard("t"));
+        last_invalidated.fill(msg.ts);
       }
       server.Deliver(msg);
+      messages_sent = seq;
     }
+    invalidator_done.store(true);
   });
   std::thread reader([&server, &stop_readers] {
     Rng rng(17);
@@ -334,17 +367,42 @@ TEST(ConcurrencyStress, InvalidationRacingInsertsLeavesNoStaleStillValidVersion)
       }
     }
   });
+  invalidator.join();
   for (std::thread& t : writers) {
     t.join();
   }
-  invalidator.join();
   stop_readers.store(true);
   reader.join();
+
+  // No stale read, before any fence: once group g was last invalidated at L, a version of a
+  // g-tagged key computed before L must have been cut at or before L, so a hit at [L, inf)
+  // must carry a value (its computed_at) of at least L.
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kKeysPerWriter; ++i) {
+      const Timestamp last = last_invalidated[i % kGroups];
+      if (last == kTimestampZero) {
+        continue;
+      }
+      LookupRequest req;
+      req.key = "w" + std::to_string(w) + "-" + std::to_string(i);
+      req.bounds_lo = last;
+      req.bounds_hi = kTimestampInfinity;
+      LookupResponse resp = server.Lookup(req);
+      if (resp.hit) {
+        ASSERT_GE(std::stoull(std::string(resp.value_ref())), last)
+            << "stale read: key " << req.key << " served past its group's invalidation at "
+            << last;
+      }
+    }
+  }
+  const CacheStats raced = server.stats();
+  EXPECT_GT(raced.insert_time_truncations, 0u) << "history replay never cut an insert";
+  EXPECT_GT(raced.invalidation_truncations, 0u) << "the stream never cut a resident version";
 
   // Fence: one final message covering everything, at a timestamp beyond every insert.
   const Timestamp fence_ts = published_ts.load() + 10;
   InvalidationMessage fence;
-  fence.seqno = kMessages + 1;
+  fence.seqno = messages_sent + 1;
   fence.ts = fence_ts;
   fence.tags = {InvalidationTag::Wildcard("t")};
   server.Deliver(fence);
@@ -367,7 +425,7 @@ TEST(ConcurrencyStress, InvalidationRacingInsertsLeavesNoStaleStillValidVersion)
     }
   }
   // The stream was fully applied in order (no gaps left behind).
-  EXPECT_EQ(server.stats().invalidation_messages, kMessages + 1);
+  EXPECT_EQ(server.stats().invalidation_messages, messages_sent + 1);
 }
 
 TEST(ConcurrencyStress, MembershipChurnUnderLoadStaysSoundAndRaceFree) {

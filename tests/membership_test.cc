@@ -107,6 +107,44 @@ TEST(Membership, ClusterResponsesCarryTheRingEpoch) {
   EXPECT_EQ(cluster.Insert(StillValidEntry("k2", "v2", "g")).ring_epoch, 3u);
 }
 
+TEST(Membership, RingChangesDropIntentsTheRingCanNoLongerRelease) {
+  // Releases follow the ring. An intent acquired before a node joins (its key may now route
+  // to the newcomer) or on a node that then leaves could never be released, and would block
+  // writers again once the key routed back; every ring change drops intents wholesale.
+  ManualClock clock;
+  CacheServer a("a", &clock), b("b", &clock), c("c", &clock);
+  CacheCluster cluster;
+  ASSERT_TRUE(cluster.AddNode(&a));
+  ASSERT_TRUE(cluster.AddNode(&b));
+  auto intent = [](int i) {
+    IntentRequest req;
+    req.key = "k" + std::to_string(i);
+    req.key_hash = Fnv1a(req.key);
+    req.txn_id = 7;
+    return req;
+  };
+  constexpr int kKeys = 64;
+  auto acquire_all = [&] {
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(cluster.AcquireIntent(intent(i)).status.ok());
+    }
+  };
+  auto release_all_and_expect_none_left = [&] {
+    for (int i = 0; i < kKeys; ++i) {
+      cluster.ReleaseIntent(intent(i));
+    }
+    for (CacheServer* n : {&a, &b, &c}) {
+      EXPECT_EQ(n->ClearIntents(), 0u) << "intent leaked on " << n->name();
+    }
+  };
+  acquire_all();
+  ASSERT_TRUE(cluster.AddNode(&c));  // moves about a third of the keys to c
+  release_all_and_expect_none_left();
+  acquire_all();
+  ASSERT_TRUE(cluster.RemoveNode("a"));
+  release_all_and_expect_none_left();
+}
+
 TEST(Membership, ClientObservesEpochChangesAndKeepsAnswering) {
   SystemClock clock;
   Database db(&clock);
